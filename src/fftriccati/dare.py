@@ -180,15 +180,24 @@ def fta_dare_arbitrary(P, Gamma, t, cfg=None):
 
 
 def compress_factor(factor, tau):
-    """Rank-truncated factor; discarded singular values are <= tau * sigma_max."""
+    """Rank-truncated factor; discarded singular values are <= tau * sigma_max.
+
+    With S' = QR (R only; Q is never formed) and R' = U diag(sv) W', the
+    kept rows U_keep'S = diag(sv) (QW)_keep' are mutually orthogonal with
+    norms sv.  The SVD is of the small square R', so the cost is one thin
+    QR and one GEMM against S instead of an SVD of the full stack.
+    """
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
     S = factor.S
+    if not np.all(np.isfinite(S)):
+        raise StackBlowup("factor to compress has non-finite entries")
     if S.shape[0] == 0 or not np.any(S):
         return LowRankFactor(np.zeros((0, S.shape[1])))
-    _, sv, vt = np.linalg.svd(S, full_matrices=False)
+    R = np.linalg.qr(S.T, mode="r")
+    u, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     keep = sv > tau * sv[0] if tau > 0 else sv > 0
-    return LowRankFactor(sv[keep, None] * vt[keep])
+    return LowRankFactor(u[:, keep].T @ S)
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20,

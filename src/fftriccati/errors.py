@@ -13,14 +13,6 @@ class PcgFailure(FftRiccatiError):
     """PCG did not reach the requested tolerance where a converged solve was required."""
 
 
-class MaxIterations(FftRiccatiError):
-    """Soft iteration-cap report; carries the best iterate."""
-
-    def __init__(self, message, iterate=None):
-        super().__init__(message)
-        self.iterate = iterate
-
-
 class BreakdownNonSpd(FftRiccatiError):
     """p'Ap <= 0 inside CG: the operator is not positive definite."""
 
@@ -30,7 +22,8 @@ class NotPositiveDefinite(FftRiccatiError):
 
 
 class StackBlowup(FftRiccatiError):
-    """A Krylov block norm exceeded the overflow guard (badly scaled or unstable A)."""
+    """A Krylov block exceeded the overflow guard (badly scaled or unstable A),
+    or a factor to compress is not finite."""
 
 
 class SingularShift(FftRiccatiError):
@@ -63,8 +56,4 @@ class ZeroRhs(FftRiccatiError):
 
 
 class ParseError(FftRiccatiError):
-    pass
-
-
-class IoError(FftRiccatiError):
     pass

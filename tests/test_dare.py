@@ -168,6 +168,32 @@ class TestCompress:
         with pytest.raises(ValueError):
             compress_factor(LowRankFactor(np.eye(2)), 1.5)
 
+    @pytest.mark.parametrize("rows, cols", [(400, 3000), (120, 50)])
+    def test_graded_stack(self, rows, cols):
+        # singular values from 1 down to 1e-14, random singular vectors
+        rng = np.random.default_rng(rows + cols)
+        k = min(rows, cols)
+        U, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+        V, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+        S = LowRankFactor((U * np.logspace(0, -14, k)) @ V.T)
+        tau = 1e-12
+        out = compress_factor(S, tau)
+
+        sv = np.linalg.svd(S.S, compute_uv=False)
+        assert out.r == np.count_nonzero(sv > tau * sv[0])
+        G = S.gram()
+        assert np.linalg.norm(out.gram() - G) <= 1e-13 * np.linalg.norm(G)
+        M = out.S @ out.S.T
+        off = M - np.diag(np.diag(M))
+        assert np.max(np.abs(off)) <= 1e-12 * sv[0] ** 2
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_stack_is_blowup(self, bad):
+        S = np.ones((3, 5))
+        S[1, 2] = bad
+        with pytest.raises(StackBlowup):
+            compress_factor(LowRankFactor(S), 1e-12)
+
 
 class TestSolve:
     def test_scalar_converges_to_positive_root(self):
