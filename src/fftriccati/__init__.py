@@ -12,14 +12,14 @@ from .errors import (BreakdownNonSpd, DimensionMismatch, FftRiccatiError,
                      SingularShift, StackBlowup, ZeroRhs)
 from .oracles import (care_ground_truth, dare_ground_truth, dre_dense,
                       random_care_instance, random_dare_instance, sda_dense)
-from .pcg import (GramOperator, PcgConfig, build_block_circulant_preconditioner,
+from .pcg import (BlockCirculantPreconditioner, GramOperator, PcgConfig,
                   pcg_solve)
 from .residuals import ResidualReport, min_eig_difference, nres_care, nres_dare
 from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
                        bt_apply_transpose, bt_compose_lower, circular_convolve,
                        densify)
 from .toeplitz_inverse import (StructuredInverse, SweepArtifacts,
-                               apply_structured_inverse, displacement_rank,
-                               gs_reconstruct, solve_sweep_systems)
+                               displacement_rank, gs_reconstruct,
+                               solve_sweep_systems)
 
 __version__ = "0.1.0"

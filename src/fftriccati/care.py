@@ -168,9 +168,7 @@ def cayley_transform(P, gamma, C_current=None, feedback=None):
 
 @dataclass
 class CareSweep:
-    factor: LowRankFactor
-    S1: np.ndarray
-    S2: np.ndarray
+    factor: LowRankFactor  # R Vt, t*l rows
     inv: object  # StructuredInverse
     Vt: np.ndarray
 
@@ -198,19 +196,18 @@ def fta_care_sweep(sys, t, cfg=None):
         VB = np.zeros((0, sys.Btilde.shape[1]))
     col = np.vstack([sys.Ygamma, VB]).reshape(t, l, sys.Btilde.shape[1])
     inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), CARE_MODE, cfg)
-    S1, S2 = inv.apply(Vt)
-    return CareSweep(LowRankFactor(np.vstack([S1, S2])), S1, S2, inv, Vt)
+    return CareSweep(LowRankFactor(inv.apply(Vt)), inv, Vt)
 
 
 def residual_factor(sys, sweep, C_in):
-    """C_t with residual(X_t) = C_t'C_t, via the structured-inverse contractions."""
+    """C_t with residual(X_t) = C_t'C_t, via the structured-inverse contraction."""
     C_in = np.atleast_2d(np.asarray(C_in, dtype=float))
     l = C_in.shape[0]
     if sweep is None:
         return C_in.copy()
     ones = np.tile(np.eye(l), (sweep.inv.t, 1))
-    xi1, xi2 = sweep.inv.apply(ones)
-    return C_in + np.sqrt(2.0 * sys.gamma) * (xi1.T @ sweep.S1 + xi2.T @ sweep.S2)
+    xi = sweep.inv.apply(ones)
+    return C_in + np.sqrt(2.0 * sys.gamma) * (xi.T @ sweep.factor.S)
 
 
 @dataclass

@@ -5,11 +5,12 @@ configured DARE/CARE solve, and writes three files into the output
 directory: ``factor.mtx`` (the final low-rank factor, array format),
 ``summary.json`` and ``trace.csv`` with one row per outer round.
 
-Exit codes: 0 converged, 1 input error, 2 no convergence.
+Exit codes: 0 converged, 1 input error, 2 no convergence, 3 numerical
+failure inside the solve (PCG, overflow guard, Cholesky, shift ...); codes 2
+and 3 still write the summary, with the failure named in its note.
 """
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -35,9 +36,7 @@ _DEFAULTS = {
     "tau": 1e-12,
     "stop_tol": 1e-8,
     "max_rounds": 40,
-    "seed": 0,
     "out_dir": ".",
-    "threads": None,
 }
 
 
@@ -67,8 +66,7 @@ def load_config(args):
         if unknown:
             raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
         cfg.update(user)
-    for key in ("equation", "gamma0", "t", "stop_tol", "max_rounds", "out_dir",
-                "seed", "threads"):
+    for key in ("equation", "gamma0", "t", "stop_tol", "max_rounds", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
@@ -94,20 +92,6 @@ def load_problem(cfg):
     C = _dense(cfg["c"], "C")
     cls = DareProblem if cfg["equation"] == "dare" else CareProblem
     return cls(A, B, C)
-
-
-@contextlib.contextmanager
-def _thread_limit(threads):
-    if threads is None:
-        yield
-        return
-    try:
-        from threadpoolctl import threadpool_limits
-    except ImportError:
-        yield
-        return
-    with threadpool_limits(limits=int(threads)):
-        yield
 
 
 def _write_outputs(out_dir, equation, factor, history, converged, total_ms, note=""):
@@ -139,28 +123,32 @@ def run(cfg):
     """Execute one configured solve; returns the process exit code."""
     problem = load_problem(cfg)
     tic = time.perf_counter()
-    note = ""
-    with _thread_limit(cfg["threads"]):
-        try:
-            if cfg["equation"] == "care":
-                result = fta_care_solve(
-                    problem, gamma0=cfg["gamma0"], t_per_round=int(cfg["t"]),
-                    shift_decay=float(cfg["shift_decay"]), tau=float(cfg["tau"]),
-                    stop=float(cfg["stop_tol"]), max_rounds=int(cfg["max_rounds"]))
-                factor, history, converged = result.factor, result.history, result.converged
-                note = result.note
-            else:
-                factor, history = fta_dare_solve(
-                    problem, t_per_restart=int(cfg["t"]), tau=float(cfg["tau"]),
-                    stop=float(cfg["stop_tol"]), max_restarts=int(cfg["max_rounds"]))
-                converged = True
-        except NoConvergence as exc:
-            factor, history, converged = exc.factor, exc.history or [], False
-            note = str(exc)
+    note, failure_code = "", 2
+    try:
+        if cfg["equation"] == "care":
+            result = fta_care_solve(
+                problem, gamma0=cfg["gamma0"], t_per_round=int(cfg["t"]),
+                shift_decay=float(cfg["shift_decay"]), tau=float(cfg["tau"]),
+                stop=float(cfg["stop_tol"]), max_rounds=int(cfg["max_rounds"]))
+            factor, history, converged = result.factor, result.history, result.converged
+            note = result.note
+        else:
+            factor, history = fta_dare_solve(
+                problem, t_per_restart=int(cfg["t"]), tau=float(cfg["tau"]),
+                stop=float(cfg["stop_tol"]), max_restarts=int(cfg["max_rounds"]))
+            converged = True
+    except NoConvergence as exc:
+        factor, history, converged = exc.factor, exc.history or [], False
+        note = str(exc)
+    except DimensionMismatch:
+        raise
+    except FftRiccatiError as exc:
+        factor, history, converged, failure_code = None, [], False, 3
+        note = "%s: %s" % (type(exc).__name__, exc)
     total_ms = 1000.0 * (time.perf_counter() - tic)
     _write_outputs(cfg["out_dir"], cfg["equation"], factor, history, converged,
                    total_ms, note)
-    return 0 if converged else 2
+    return 0 if converged else failure_code
 
 
 def generate_synthetic(kind, n, m, l, seed, out_dir):
@@ -208,8 +196,6 @@ def _build_parser():
     p_run.add_argument("--stop-tol", dest="stop_tol", type=float)
     p_run.add_argument("--max-rounds", dest="max_rounds", type=int)
     p_run.add_argument("--out-dir", dest="out_dir")
-    p_run.add_argument("--seed", type=int)
-    p_run.add_argument("--threads", type=int)
 
     p_gen = sub.add_parser("gen", help="write a synthetic problem")
     p_gen.add_argument("--kind", required=True,

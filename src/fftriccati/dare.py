@@ -131,8 +131,7 @@ def fta_dare_sweep(P, t, cfg=None):
     if t == 1:
         return LowRankFactor(P.C.copy())
     inv = _sweep_inverse(P, stack, t, cfg)
-    S1, S2 = inv.apply(stack.Vt[P.l:])
-    return LowRankFactor(np.vstack([P.C, S1, S2]))
+    return LowRankFactor(np.vstack([P.C, inv.apply(stack.Vt[P.l:])]))
 
 
 def fta_dare_arbitrary(P, Gamma, t, cfg=None):
@@ -156,27 +155,23 @@ def fta_dare_arbitrary(P, Gamma, t, cfg=None):
     gb = [Gk @ P.B for Gk in gpow[:t]]
 
     if t == 1:
-        S1 = np.zeros((0, P.n))
-        S2 = np.zeros((0, P.n))
-        Xi1G = np.zeros((0, g))
-        Xi2G = np.zeros((0, g))
+        S = np.zeros((0, P.n))
+        XiG = np.zeros((0, g))
     else:
         inv = _sweep_inverse(P, stack, t, cfg)
-        S1, S2 = inv.apply(stack.Vt[P.l:])
+        S = inv.apply(stack.Vt[P.l:])
         # coupling columns: toepL(V_{t-1}B) applied to the reversed GB stack
         M = np.vstack([gb[t - 1 - j].T for j in range(t - 1)])
         vb_spec = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m), LOWER)
-        Xi1G, Xi2G = inv.apply(bt_apply(vb_spec, M))
+        XiG = inv.apply(bt_apply(vb_spec, M))
 
-    WG = np.eye(g) + sum(gbk @ gbk.T for gbk in gb) \
-        - Xi1G.T @ Xi1G - Xi2G.T @ Xi2G
+    WG = np.eye(g) + sum(gbk @ gbk.T for gbk in gb) - XiG.T @ XiG
     try:
         LG = np.linalg.cholesky(0.5 * (WG + WG.T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("initial-term coupling matrix W_Gamma") from exc
-    XiG = gpow[t] - Xi1G.T @ S1 - Xi2G.T @ S2
-    SG = scipy.linalg.solve_triangular(LG, XiG, lower=True)
-    return LowRankFactor(np.vstack([P.C, S1, S2, SG]))
+    SG = scipy.linalg.solve_triangular(LG, gpow[t] - XiG.T @ S, lower=True)
+    return LowRankFactor(np.vstack([P.C, S, SG]))
 
 
 def compress_factor(factor, tau):

@@ -102,16 +102,12 @@ class BlockCirculantPreconditioner:
         return out.reshape(X.shape)
 
 
-def build_block_circulant_preconditioner(L_col):
-    return BlockCirculantPreconditioner(L_col)
-
-
 def choose_preconditioner(L_col, cfg):
     """Config-driven choice with the documented fallbacks."""
     if cfg.preconditioner == "identity" or (cfg.preconditioner == "auto" and L_col.t < 16):
         return IdentityPreconditioner()
     try:
-        return build_block_circulant_preconditioner(L_col)
+        return BlockCirculantPreconditioner(L_col)
     except SingularPreconditioner:
         return IdentityPreconditioner()
 

@@ -1,11 +1,17 @@
 """Structured inverse of I + T T' for triangular block-Toeplitz T.
 
-The inverse is carried as two upper block-Toeplitz factors built from a pair
-of small Gram solves (the Q2/Q3 systems), so that
+A pair of small Gram solves (the Q2/Q3 systems) gives two upper
+block-Toeplitz factors with
 
-    (I + T T')^{-1} = U1 U1' + U2 U2'
+    (I + T T')^{-1} = U1 U1' + U2 U2',
 
-with U1 = toepU([Q2c; Q2b] LQ^{-T}) and U2 = toepU([Q3...; 0] LW^{-T}).
+U1 = toepU([Q2c; Q2b] LQ^{-T}) and U2 = toepU([Q3...; 0] LW^{-T}).  The
+inverse is carried as one dense upper-triangular R of order dim = t p1, the
+R of a QR of the stacked [U1'; U2'], so that R'R = (I + T T')^{-1}.
+Contracting a Krylov stack V with R gives dim rows Xi = R V with
+Xi'Xi = V'(I + T T')^{-1} V, one GEMM instead of two FFT products over all
+of V's columns.
+
 Two right-hand-side modes exist: the discrete sweep solves the inner system
 whose operator is I + toepL(D) toepL(D)' with D the strict part of the
 column, while the continuous sweep keeps the corner block Y on the diagonal
@@ -22,8 +28,9 @@ import scipy.linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, PcgFailure
 from .pcg import (GramOperator, PcgConfig, TrailingGramOperator,
                   choose_preconditioner, pcg_solve)
-from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
-                       bt_apply_transpose, densify)
+from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply_transpose,
+                       densify)
+from .toeplitz import bt_apply  # noqa: F401  (bound here for the layer tracer)
 
 DARE_MODE = "dare"
 CARE_MODE = "care"
@@ -68,33 +75,26 @@ class StructuredInverse:
     t: int  # block order of the represented system
     p1: int
     p2: int
-    u1: BlockToeplitzSpec | None  # normalized toepU factors; None when t == 0
-    u2: BlockToeplitzSpec | None
+    R: np.ndarray  # dim x dim upper triangular, R'R = (I + TT')^{-1}
 
     @property
     def dim(self):
         return self.p1 * self.t
 
     def apply(self, V):
-        """Normalized contractions (Xi1, Xi2) with Xi1'Xi1 + Xi2'Xi2 = V' M^{-1} V."""
-        q = V.shape[1] if V.ndim == 2 else 1
+        """Normalized contraction Xi = R V with Xi'Xi = V' M^{-1} V."""
         if self.t == 0:
-            return np.zeros((0, q)), np.zeros((0, q))
+            return np.zeros((0, V.shape[1] if V.ndim == 2 else 1))
         if V.shape[0] != self.dim:
             raise DimensionMismatch(
                 "V has %d rows, inverse acts on %d" % (V.shape[0], self.dim))
-        return bt_apply_transpose(self.u1, V), bt_apply_transpose(self.u2, V)
+        return self.R @ V
 
     def apply_inverse(self, V):
-        """M^{-1} V, i.e. U1 (U1' V) + U2 (U2' V)."""
+        """M^{-1} V = R'(R V)."""
         if self.t == 0:
             return np.asarray(V, dtype=float)
-        xi1, xi2 = self.apply(V)
-        return bt_apply(self.u1, xi1) + bt_apply(self.u2, xi2)
-
-
-def apply_structured_inverse(inv, V):
-    return inv.apply(V)
+        return self.R.T @ self.apply(V)
 
 
 def _solve_spd(op, precond, rhs, cfg, kappa_bound):
@@ -138,7 +138,7 @@ def solve_sweep_systems(L_col, rhs_mode, cfg=None):
                 Q2c=np.zeros((0, p1)), Q2b=np.eye(p1), Q3t=None,
                 Q3c=np.zeros((0, p2)), W=np.eye(p2), Wtilde=np.eye(p2),
                 LQ=np.eye(p1), LW=np.eye(p2))
-            return StructuredInverse(art, None, rhs_mode, 0, p1, p2, None, None)
+            return StructuredInverse(art, None, rhs_mode, 0, p1, p2, np.zeros((0, 0)))
         D = blocks[1:]
         Dspec = BlockToeplitzSpec(D, LOWER)
         op = GramOperator(Dspec)
@@ -188,9 +188,11 @@ def solve_sweep_systems(L_col, rhs_mode, cfg=None):
                          W=W, Wtilde=0.5 * (Wtilde + Wtilde.T), LQ=LQ, LW=LW)
     u1_blocks = (Q2.reshape(sys_t, p1, p1)) @ _lower_inv(LQ).T
     u2_blocks = (u2_col.reshape(sys_t, p1, p2)) @ _lower_inv(LW).T
-    u1 = BlockToeplitzSpec(u1_blocks, UPPER)
-    u2 = BlockToeplitzSpec(u2_blocks, UPPER)
-    return StructuredInverse(art, Y, rhs_mode, sys_t, p1, p2, u1, u2)
+    eye = np.eye(p1 * sys_t)
+    R = np.linalg.qr(np.vstack([
+        bt_apply_transpose(BlockToeplitzSpec(u1_blocks, UPPER), eye),
+        bt_apply_transpose(BlockToeplitzSpec(u2_blocks, UPPER), eye)]), mode="r")
+    return StructuredInverse(art, Y, rhs_mode, sys_t, p1, p2, R)
 
 
 # ---------------------------------------------------------------------------

@@ -113,6 +113,12 @@ class TestSweep:
             assert np.linalg.norm(sweep.factor.gram() - X) \
                 <= 1e-9 * max(1.0, np.linalg.norm(X))
 
+    def test_factor_has_t_l_rows(self):
+        A, B, C = random_care_instance(6, 40, 2, 2)
+        sys = cayley_transform(CareProblem(A, B, C), 1.0)
+        for t in (1, 4, 8):
+            assert fta_care_sweep(sys, t).factor.r == t * 2
+
     def test_t_validated(self):
         sys = cayley_transform(scalar_problem(), 1.0)
         with pytest.raises(DimensionMismatch):

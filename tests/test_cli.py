@@ -162,6 +162,19 @@ class TestRun:
         assert rows[0] == rows[1]
 
 
+class TestNumericalFailure:
+    def test_stack_blowup_exits_3_with_summary(self, tmp_path):
+        paths = write_scalar_care(tmp_path, a=1e10)  # (1e10)^16 trips the guard
+        out = tmp_path / "blowup"
+        cfg = write_config(tmp_path, {
+            "equation": "dare", "a": paths["a"], "b": paths["b"],
+            "c": paths["c"], "t": 32, "out_dir": str(out)})
+        assert main(["run", "--config", cfg]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is False
+        assert "StackBlowup" in summary["note"]
+
+
 class TestErrors:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
@@ -178,6 +191,16 @@ class TestErrors:
         cfg = write_config(tmp_path, {"equation": "care", "solver": "magic"})
         assert main(["run", "--config", cfg]) == 1
         assert "solver" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key,value", [("threads", 2), ("seed", 0)])
+    def test_removed_run_keys_rejected(self, tmp_path, capsys, key, value):
+        paths = write_scalar_care(tmp_path)
+        cfg = write_config(tmp_path, {
+            "equation": "care", "a": paths["a"], "b": paths["b"],
+            "c": paths["c"], key: value, "out_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert "config keys not recognized" in err and key in err
 
     def test_missing_equation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"a": "a.mtx", "b": "b.mtx", "c": "c.mtx"})

@@ -90,6 +90,12 @@ class TestSweep:
         S = fta_dare_sweep(P, 8)
         assert np.linalg.norm(S.gram() - X8) <= 1e-10 * np.linalg.norm(X8)
 
+    def test_factor_has_t_l_rows(self):
+        A, B, C = random_dare_instance(6, 40, 2, 2)
+        P = DareProblem(A, B, C)
+        for t in (1, 4, 8):
+            assert fta_dare_sweep(P, t).r == t * 2
+
     def test_monotone_in_t(self):
         A, B, C = random_dare_instance(2, 16, 2, 1)
         P = DareProblem(A, B, C)

@@ -6,9 +6,8 @@ import pytest
 from fftriccati.errors import BreakdownNonSpd, DimensionMismatch
 from fftriccati.pcg import (BlockCirculantPreconditioner, GramOperator,
                             IdentityPreconditioner, PcgConfig,
-                            TrailingGramOperator,
-                            build_block_circulant_preconditioner,
-                            choose_preconditioner, pcg_solve)
+                            TrailingGramOperator, choose_preconditioner,
+                            pcg_solve)
 from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
 
 
@@ -140,7 +139,7 @@ class TestTrailingOperator:
 class TestPreconditioner:
     def test_zero_column_gives_identity_action(self):
         spec = BlockToeplitzSpec(np.zeros((8, 2, 2)), LOWER)
-        pre = build_block_circulant_preconditioner(spec)
+        pre = BlockCirculantPreconditioner(spec)
         X = np.arange(32.0).reshape(16, 2)
         np.testing.assert_allclose(pre.solve(X), X, atol=1e-12)
 
@@ -149,7 +148,7 @@ class TestPreconditioner:
         blocks = np.zeros((16, 1, 1))
         blocks[0, 0, 0] = 1.0
         spec = BlockToeplitzSpec(blocks, LOWER)
-        pre = build_block_circulant_preconditioner(spec)
+        pre = BlockCirculantPreconditioner(spec)
         rng = np.random.default_rng(6)
         b = rng.standard_normal((16, 1))
         res = pcg_solve(GramOperator(spec), pre, b, PcgConfig(rel_tol=1e-12))
@@ -158,7 +157,7 @@ class TestPreconditioner:
     def test_spd_application(self):
         rng = np.random.default_rng(7)
         spec = BlockToeplitzSpec(rng.standard_normal((8, 2, 2)), LOWER)
-        pre = build_block_circulant_preconditioner(spec)
+        pre = BlockCirculantPreconditioner(spec)
         P = pre.solve(np.eye(16))
         np.testing.assert_allclose(P, P.T, atol=1e-12)
         assert np.linalg.eigvalsh(0.5 * (P + P.T)).min() > 0.0
@@ -174,7 +173,7 @@ class TestPreconditioner:
             b = rng.standard_normal((32, 1))
             cfg = PcgConfig(rel_tol=1e-10, max_iter=400)
             plain = pcg_solve(GramOperator(spec), IdentityPreconditioner(), b, cfg)
-            pre = build_block_circulant_preconditioner(spec)
+            pre = BlockCirculantPreconditioner(spec)
             fast = pcg_solve(GramOperator(spec), pre, b, cfg)
             assert fast.all_converged
             if fast.iterations.max() <= plain.iterations.max():

@@ -7,7 +7,6 @@ from fftriccati.errors import DimensionMismatch
 from fftriccati.pcg import PcgConfig
 from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
 from fftriccati.toeplitz_inverse import (CARE_MODE, DARE_MODE, MINUS, PLUS,
-                                         apply_structured_inverse,
                                          displacement_rank,
                                          displacement_residue, gs_reconstruct,
                                          solve_sweep_systems)
@@ -35,8 +34,8 @@ class TestDareMode:
         np.testing.assert_allclose(inv.artifacts.Q2b, np.eye(2))
         np.testing.assert_allclose(inv.artifacts.W, np.eye(3))
         V = np.arange(6.0).reshape(2, 3)
-        xi1, xi2 = inv.apply(V)
-        assert xi1.shape == (0, 3) and xi2.shape == (0, 3)
+        xi = inv.apply(V)
+        assert xi.shape == (0, 3)
         np.testing.assert_allclose(inv.apply_inverse(V), V)
 
     def test_scalar_t2_artifacts(self):
@@ -84,16 +83,16 @@ class TestDareMode:
         D = BlockToeplitzSpec(col.blocks[1:], LOWER)
         M = dense_gram(D)
         V = rng.standard_normal((2 * 11, 4))
-        xi1, xi2 = apply_structured_inverse(inv, V)
-        lhs = xi1.T @ xi1 + xi2.T @ xi2
+        xi = inv.apply(V)
+        lhs = xi.T @ xi
         rhs = V.T @ np.linalg.solve(M, V)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_zero_input(self):
         rng = np.random.default_rng(3)
         inv = solve_sweep_systems(dare_col(rng, 4, 2, 2), DARE_MODE)
-        xi1, xi2 = inv.apply(np.zeros((6, 2)))
-        assert np.linalg.norm(xi1) == 0.0 and np.linalg.norm(xi2) == 0.0
+        xi = inv.apply(np.zeros((6, 2)))
+        assert np.linalg.norm(xi) == 0.0
 
 
 class TestCareMode:
@@ -113,8 +112,8 @@ class TestCareMode:
         inv = solve_sweep_systems(col, CARE_MODE)
         M = dense_gram(col)
         V = rng.standard_normal((32, 5))
-        xi1, xi2 = inv.apply(V)
-        lhs = xi1.T @ xi1 + xi2.T @ xi2
+        xi = inv.apply(V)
+        lhs = xi.T @ xi
         rhs = V.T @ np.linalg.solve(M, V)
         assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
@@ -153,6 +152,24 @@ class TestCareMode:
         V = rng.standard_normal((4, 2))
         out = inv.apply_inverse(V)
         assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
+
+
+class TestTriangularFactor:
+    @pytest.mark.parametrize("mode", [DARE_MODE, CARE_MODE])
+    @pytest.mark.parametrize("t,p1,p2", [(7, 3, 1), (9, 2, 2), (6, 1, 3)])
+    def test_gram_is_dense_inverse(self, mode, t, p1, p2):
+        rng = np.random.default_rng(12)
+        if mode == DARE_MODE:
+            col = dare_col(rng, t, p1, p2)
+            M = dense_gram(BlockToeplitzSpec(col.blocks[1:], LOWER))
+        else:
+            col = care_col(rng, t, p1, p2)
+            M = dense_gram(col)
+        inv = solve_sweep_systems(col, mode)
+        assert inv.R.shape == M.shape
+        assert np.array_equal(inv.R, np.triu(inv.R))
+        Minv = np.linalg.inv(M)
+        assert np.linalg.norm(inv.R.T @ inv.R - Minv) <= 1e-10 * np.linalg.norm(Minv)
 
 
 class TestDisplacement:
