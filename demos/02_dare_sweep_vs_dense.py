@@ -9,13 +9,13 @@ recursion and shows the monotone approach to the fixed point.
 
 import numpy as np
 
-from fftriccati import (DareProblem, dare_ground_truth, dre_dense,
+from fftriccati import (RiccatiProblem, dare_ground_truth, dre_dense,
                         fta_dare_solve, fta_dare_sweep, random_dare_instance)
 
 
 def main():
     A, B, C = random_dare_instance(seed=0, n=30, m=2, l=2)
-    P = DareProblem(A, B, C)
+    P = RiccatiProblem(A, B, C)
     Xstar = dare_ground_truth(A, B, C)
 
     print("sweep vs dense recursion, and distance to the fixed point:")

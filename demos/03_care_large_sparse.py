@@ -12,7 +12,7 @@ import time
 import numpy as np
 import scipy.sparse
 
-from fftriccati import CareProblem, fta_care_solve
+from fftriccati import RiccatiProblem, fta_care_solve
 
 
 def main():
@@ -24,7 +24,7 @@ def main():
     B = rng.standard_normal((n, 4))
     C = rng.standard_normal((4, n))
 
-    P = CareProblem(A, B, C)
+    P = RiccatiProblem(A, B, C)
     tic = time.perf_counter()
     result = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-8,
                             max_rounds=40)

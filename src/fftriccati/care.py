@@ -19,50 +19,14 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dare import LowRankFactor, RoundRecord, compress_factor
+from .dare import (LowRankFactor, RoundRecord, _krylov_blocks, _vb_stack,
+                   compress_factor)
 from .errors import (DimensionMismatch, NoConvergence, SingularClosedLoop,
-                     SingularShift, StackBlowup, ZeroRhs)
-from .linops import one_norm, to_dense
-from .pcg import PcgConfig
+                     SingularShift)
+from .linops import one_norm
 from .residuals import nres_care
 from .toeplitz import LOWER, BlockToeplitzSpec
 from .toeplitz_inverse import CARE_MODE, solve_sweep_systems
-
-_BLOWUP_LIMIT = 1e150
-
-
-@dataclass(frozen=True)
-class CareProblem:
-    A: object
-    B: np.ndarray
-    C: np.ndarray
-
-    def __post_init__(self):
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
-            raise DimensionMismatch("A must be square")
-        if B.shape[0] != n or C.shape[1] != n:
-            raise DimensionMismatch("B must be n x m and C must be l x n")
-        if B.shape[1] > n or C.shape[0] > n:
-            raise DimensionMismatch("need m <= n and l <= n")
-        if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
-            raise DimensionMismatch("B and C must be finite")
-        object.__setattr__(self, "B", B)
-        object.__setattr__(self, "C", C)
-
-    @property
-    def n(self):
-        return self.A.shape[0]
-
-    @property
-    def m(self):
-        return self.B.shape[1]
-
-    @property
-    def l(self):
-        return self.C.shape[0]
 
 
 class ShiftedSolver:
@@ -170,33 +134,18 @@ def cayley_transform(P, gamma, C_current=None, feedback=None):
 class CareSweep:
     factor: LowRankFactor  # R Vt, t*l rows
     inv: object  # StructuredInverse
-    Vt: np.ndarray
-
-    @property
-    def artifacts(self):
-        return self.inv.artifacts
 
 
-def fta_care_sweep(sys, t, cfg=None):
+def fta_care_sweep(sys, t):
     """One structured sweep: factor of the Cayley-DRE iterate X_t."""
-    cfg = cfg or PcgConfig()
     if t < 1:
         raise DimensionMismatch("t must be >= 1")
-    l = sys.Ctilde.shape[0]
-    blocks = [sys.Ctilde]
-    for _ in range(t - 1):
-        W = sys.atilde_rapply(blocks[-1])
-        if not np.all(np.isfinite(W)) or np.linalg.norm(W) > _BLOWUP_LIMIT:
-            raise StackBlowup("transformed Krylov block exceeded the overflow guard")
-        blocks.append(W)
+    l, m = sys.Ctilde.shape[0], sys.Btilde.shape[1]
+    blocks = _krylov_blocks(sys.Ctilde, sys.atilde_rapply, t - 1)
     Vt = np.vstack(blocks)
-    if t > 1:
-        VB = np.vstack([blk @ sys.Btilde for blk in blocks[:t - 1]])
-    else:
-        VB = np.zeros((0, sys.Btilde.shape[1]))
-    col = np.vstack([sys.Ygamma, VB]).reshape(t, l, sys.Btilde.shape[1])
-    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), CARE_MODE, cfg)
-    return CareSweep(LowRankFactor(inv.apply(Vt)), inv, Vt)
+    col = np.vstack([sys.Ygamma, _vb_stack(blocks, sys.Btilde)]).reshape(t, l, m)
+    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), CARE_MODE)
+    return CareSweep(LowRankFactor(inv.apply(Vt)), inv)
 
 
 def residual_factor(sys, sweep, C_in):
@@ -226,11 +175,12 @@ def default_gamma0(A):
 
 
 def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
-                   stop=1e-8, max_rounds=40, cfg=None):
+                   stop=1e-8, max_rounds=40):
     """Incorporation loop: sweep, stack, compress, decay the shift."""
-    cfg = cfg or PcgConfig()
     if shift_decay < 1.0:
         raise ValueError("shift_decay must be >= 1")
+    if max_rounds < 1:
+        raise ValueError("max_rounds must be >= 1")
     if not np.any(P.C):
         return CareSolveResult(LowRankFactor(np.zeros((0, P.n))), [], True,
                                note="zero right-hand side (ZeroRhs)")
@@ -252,7 +202,7 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
         except SingularShift:
             gamma *= 1.5  # single retry with a nudged shift
             sys = cayley_transform(P, gamma, C_round, feedback)
-        sweep = fta_care_sweep(sys, t_per_round, cfg)
+        sweep = fta_care_sweep(sys, t_per_round)
         S_acc = compress_factor(
             LowRankFactor(np.vstack([S_acc, sweep.factor.S])), tau).S
         C_round = residual_factor(sys, sweep, C_round)
@@ -267,25 +217,3 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
         "nres %.3e > %.3e after %d rounds" % (history[-1].nres, stop, max_rounds),
         factor=LowRankFactor(S_acc), history=history)
 
-
-def radi_delta_check(P, X_factor, Ct, gamma):
-    """Dense one-step correction of Theorem-style closed form (test utility).
-
-    Delta = 2 gamma (Ct A_g^{-1})' (I + Ct A_g^{-1} BB' A_g^{-T} Ct')^{-1} Ct A_g^{-1}
-    with A_g = A - BB'X - gamma I.
-    """
-    if P.n > 64:
-        raise DimensionMismatch("radi_delta_check is a small-instance utility (n <= 64)")
-    Ct = np.atleast_2d(np.asarray(Ct, dtype=float))
-    X = X_factor.gram() if hasattr(X_factor, "gram") else np.asarray(X_factor, float)
-    A = to_dense(P.A)
-    At = A - P.B @ (P.B.T @ X) - gamma * np.eye(P.n)
-    try:
-        CtAinv = np.linalg.solve(At.T, Ct.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularClosedLoop("A - BB'X - gamma I is singular") from exc
-    if not np.all(np.isfinite(CtAinv)):
-        raise SingularClosedLoop("closed-loop solve produced non-finite values")
-    tmp = CtAinv @ P.B
-    mid = np.eye(Ct.shape[0]) + tmp @ tmp.T
-    return 2.0 * gamma * CtAinv.T @ np.linalg.solve(mid, CtAinv)

@@ -20,8 +20,8 @@ import numpy as np
 import scipy.io
 import scipy.sparse
 
-from .care import CareProblem, fta_care_solve
-from .dare import DareProblem, fta_dare_solve
+from .care import fta_care_solve
+from .dare import RiccatiProblem, fta_dare_solve
 from .errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
                      ParseError)
 
@@ -90,8 +90,7 @@ def load_problem(cfg):
     A = A.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=float)
     B = _dense(cfg["b"], "B")
     C = _dense(cfg["c"], "C")
-    cls = DareProblem if cfg["equation"] == "dare" else CareProblem
-    return cls(A, B, C)
+    return RiccatiProblem(A, B, C)
 
 
 def _write_outputs(out_dir, equation, factor, history, converged, total_ms, note=""):
@@ -219,10 +218,7 @@ def main(argv=None):
             return 0
         cfg = load_config(args)
         return run(cfg)
-    except (ParseError, DimensionMismatch, ValueError, OSError) as exc:
-        print("error: %s" % exc, file=sys.stderr)
-        return 1
-    except FftRiccatiError as exc:
+    except (FftRiccatiError, ValueError, OSError) as exc:
         print("error: %s" % exc, file=sys.stderr)
         return 1
 

@@ -7,6 +7,10 @@ with V_t the Krylov stack of C and T a strictly lower block-Toeplitz matrix
 built from V_{t-1}B.  One "sweep" evaluates that closed form through the
 structured inverse, returning a factor S with S'S = X_t; restarts feed the
 compressed factor back in as the initial term of the next sweep.
+
+The problem type, the low-rank factor, the per-round record, the guarded
+Krylov-block builder and the factor compression defined here are shared with
+the continuous-time solver in ``care``.
 """
 
 import time
@@ -18,7 +22,6 @@ import scipy.linalg
 from .errors import (DimensionMismatch, NoConvergence, NotPositiveDefinite,
                      StackBlowup)
 from .linops import rowmul
-from .pcg import PcgConfig
 from .toeplitz import LOWER, BlockToeplitzSpec, bt_apply
 from .toeplitz_inverse import DARE_MODE, solve_sweep_systems
 
@@ -26,7 +29,9 @@ _BLOWUP_LIMIT = 1e150
 
 
 @dataclass(frozen=True)
-class DareProblem:
+class RiccatiProblem:
+    """Coefficients (A, B, C) of a continuous or discrete Riccati equation."""
+
     A: object  # n x n, dense ndarray or scipy sparse
     B: np.ndarray
     C: np.ndarray
@@ -84,9 +89,8 @@ class LowRankFactor:
 
 @dataclass(frozen=True)
 class KrylovStack:
-    Vt: np.ndarray   # [C; CA; ...; CA^{t-1}]
-    VtA: np.ndarray  # [CA; ...; CA^t]
-    VB: np.ndarray   # V_{t-1} B
+    Vt: np.ndarray  # [C; CA; ...; CA^{t-1}]
+    VB: np.ndarray  # V_{t-1} B
 
 
 @dataclass
@@ -99,66 +103,67 @@ class RoundRecord:
     ms: float
 
 
+def _krylov_blocks(W0, rapply, count):
+    """[W0, rapply(W0), ...] with count applications, each block overflow-guarded."""
+    blocks = [W0]
+    for _ in range(count):
+        W = rapply(blocks[-1])
+        # entrywise bounds: a norm's sum of squares would overflow first; NaN fails both
+        if not (W.min(initial=0.0) >= -_BLOWUP_LIMIT and W.max(initial=0.0) <= _BLOWUP_LIMIT):
+            raise StackBlowup("Krylov block exceeded the overflow guard at depth %d"
+                              % len(blocks))
+        blocks.append(W)
+    return blocks
+
+
+def _vb_stack(blocks, B):
+    """[W_0 B; ...; W_{t-2} B] for t = len(blocks); zero rows when t = 1."""
+    if len(blocks) == 1:
+        return np.zeros((0, B.shape[1]))
+    return np.vstack([blk @ B for blk in blocks[:-1]])
+
+
 def build_krylov_stack(P, t):
     """Row-block powers of A applied to C; never forms A^t."""
     if t < 1:
         raise DimensionMismatch("t must be >= 1")
-    blocks = [P.C]
-    for _ in range(t):
-        W = rowmul(blocks[-1], P.A)
-        if not np.all(np.isfinite(W)) or np.linalg.norm(W) > _BLOWUP_LIMIT:
-            raise StackBlowup(
-                "Krylov block norm exceeded %g at depth %d" % (_BLOWUP_LIMIT, len(blocks)))
-        blocks.append(W)
-    Vt = np.vstack(blocks[:t])
-    VtA = np.vstack(blocks[1:t + 1])
-    if t > 1:
-        VB = np.vstack([blk @ P.B for blk in blocks[:t - 1]])
-    else:
-        VB = np.zeros((0, P.m))
-    return KrylovStack(Vt=Vt, VtA=VtA, VB=VB)
+    blocks = _krylov_blocks(P.C, lambda W: rowmul(W, P.A), t - 1)
+    return KrylovStack(Vt=np.vstack(blocks), VB=_vb_stack(blocks, P.B))
 
 
-def _sweep_inverse(P, stack, t, cfg):
+def _sweep_inverse(P, stack, t):
     col = np.vstack([np.zeros((P.l, P.m)), stack.VB]).reshape(t, P.l, P.m)
-    return solve_sweep_systems(BlockToeplitzSpec(col, LOWER), DARE_MODE, cfg)
+    return solve_sweep_systems(BlockToeplitzSpec(col, LOWER), DARE_MODE)
 
 
-def fta_dare_sweep(P, t, cfg=None):
+def fta_dare_sweep(P, t):
     """Factor of the DRE iterate X_t from X_0 = 0; S'S = X_t."""
-    cfg = cfg or PcgConfig()
     stack = build_krylov_stack(P, t)
     if t == 1:
         return LowRankFactor(P.C.copy())
-    inv = _sweep_inverse(P, stack, t, cfg)
+    inv = _sweep_inverse(P, stack, t)
     return LowRankFactor(np.vstack([P.C, inv.apply(stack.Vt[P.l:])]))
 
 
-def fta_dare_arbitrary(P, Gamma, t, cfg=None):
+def fta_dare_arbitrary(P, Gamma, t):
     """Factor of the DRE iterate X_t from X_0 = Gamma'Gamma."""
-    cfg = cfg or PcgConfig()
     Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
     if Gamma.size == 0 or not np.any(Gamma):
-        return fta_dare_sweep(P, t, cfg)
+        return fta_dare_sweep(P, t)
     if Gamma.shape[1] != P.n:
         raise DimensionMismatch("Gamma must have n columns")
     g = Gamma.shape[0]
 
     stack = build_krylov_stack(P, t)
     # propagate the initial factor through the same powers of A
-    gpow = [Gamma]
-    for _ in range(t):
-        W = rowmul(gpow[-1], P.A)
-        if not np.all(np.isfinite(W)) or np.linalg.norm(W) > _BLOWUP_LIMIT:
-            raise StackBlowup("initial-factor block norm exceeded the overflow guard")
-        gpow.append(W)
+    gpow = _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t)
     gb = [Gk @ P.B for Gk in gpow[:t]]
 
     if t == 1:
         S = np.zeros((0, P.n))
         XiG = np.zeros((0, g))
     else:
-        inv = _sweep_inverse(P, stack, t, cfg)
+        inv = _sweep_inverse(P, stack, t)
         S = inv.apply(stack.Vt[P.l:])
         # coupling columns: toepL(V_{t-1}B) applied to the reversed GB stack
         M = np.vstack([gb[t - 1 - j].T for j in range(t - 1)])
@@ -195,12 +200,12 @@ def compress_factor(factor, tau):
     return LowRankFactor(u[:, keep].T @ S)
 
 
-def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20,
-                   cfg=None):
+def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
     """Restarted sweeps until nres_dare <= stop; returns (factor, history)."""
     from .residuals import nres_dare
 
-    cfg = cfg or PcgConfig()
+    if max_restarts < 1:
+        raise ValueError("max_restarts must be >= 1")
     if not np.any(P.C):
         return LowRankFactor(np.zeros((0, P.n))), []
     history = []
@@ -208,9 +213,9 @@ def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20,
     for rnd in range(1, max_restarts + 1):
         tic = time.perf_counter()
         if factor is None:
-            raw = fta_dare_sweep(P, t_per_restart, cfg)
+            raw = fta_dare_sweep(P, t_per_restart)
         else:
-            raw = fta_dare_arbitrary(P, factor.S, t_per_restart, cfg)
+            raw = fta_dare_arbitrary(P, factor.S, t_per_restart)
         factor = compress_factor(raw, tau)
         rep = nres_dare(factor, P)
         ms = 1000.0 * (time.perf_counter() - tic)

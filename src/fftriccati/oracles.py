@@ -2,7 +2,8 @@
 
 Everything here uses pivoted dense factorizations only and shares no code
 with the structured solver paths, so agreement between the two is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The displacement-rank checks at the
+bottom read block-Toeplitz specs through the dense ``densify``.
 """
 
 from dataclasses import dataclass
@@ -10,8 +11,10 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, SingularIterate, SingularShift
+from .errors import (DimensionMismatch, SingularClosedLoop, SingularIterate,
+                     SingularShift)
 from .linops import to_dense
+from .toeplitz import LOWER, UPPER, BlockToeplitzSpec, densify
 
 _DENSE_GUARD = 256
 
@@ -151,3 +154,90 @@ def random_care_instance(seed, n, m, l):
     B = rng.standard_normal((n, m))
     C = rng.standard_normal((l, n))
     return A, B, C
+
+
+def radi_delta_check(P, X_factor, Ct, gamma):
+    """Dense one-step RADI correction in closed form (n <= 64).
+
+    Delta = 2 gamma (Ct A_g^{-1})' (I + Ct A_g^{-1} BB' A_g^{-T} Ct')^{-1} Ct A_g^{-1}
+    with A_g = A - BB'X - gamma I.
+    """
+    if P.n > 64:
+        raise DimensionMismatch("radi_delta_check is a small-instance utility (n <= 64)")
+    Ct = np.atleast_2d(np.asarray(Ct, dtype=float))
+    X = X_factor.gram() if hasattr(X_factor, "gram") else np.asarray(X_factor, float)
+    A = to_dense(P.A)
+    At = A - P.B @ (P.B.T @ X) - gamma * np.eye(P.n)
+    try:
+        CtAinv = np.linalg.solve(At.T, Ct.T).T
+    except np.linalg.LinAlgError as exc:
+        raise SingularClosedLoop("A - BB'X - gamma I is singular") from exc
+    if not np.all(np.isfinite(CtAinv)):
+        raise SingularClosedLoop("closed-loop solve produced non-finite values")
+    tmp = CtAinv @ P.B
+    mid = np.eye(Ct.shape[0]) + tmp @ tmp.T
+    return 2.0 * gamma * CtAinv.T @ np.linalg.solve(mid, CtAinv)
+
+
+def min_eig_difference(S1, S2):
+    """Smallest eigenvalue of S2'S2 - S1'S1 via the joint row space."""
+    A, B = (S.S if hasattr(S, "S") else np.atleast_2d(np.asarray(S, dtype=float))
+            for S in (S1, S2))
+    if A.size and B.size and A.shape[1] != B.shape[1]:
+        raise DimensionMismatch("factors act on different spaces")
+    n = B.shape[1] if B.size else A.shape[1]
+    T = np.vstack([np.zeros((0, n)), A.reshape(-1, n), B.reshape(-1, n)])
+    if not np.any(T):
+        return 0.0
+    Q, _ = np.linalg.qr(T.T)
+    D = (B @ Q).T @ (B @ Q) - (A @ Q).T @ (A @ Q)
+    vals = np.linalg.eigvalsh(0.5 * (D + D.T))
+    smallest = float(vals[0]) if vals.size else 0.0
+    if Q.shape[1] < n:
+        smallest = min(smallest, 0.0)
+    return smallest
+
+
+# ---------------------------------------------------------------------------
+# displacement-rank utilities for the structured-inverse factors
+
+PLUS = "plus"
+MINUS = "minus"
+
+
+def displacement_residue(R, p, sign):
+    R = np.asarray(R, dtype=float)
+    n = R.shape[0]
+    if R.ndim != 2 or R.shape[1] != n or n % p:
+        raise DimensionMismatch("R must be square with order divisible by p")
+    res = R.copy()
+    if sign == PLUS:  # R - Z R Z'
+        res[p:, p:] -= R[:-p, :-p]
+    elif sign == MINUS:  # R - Z' R Z
+        res[:-p, :-p] -= R[p:, p:]
+    else:
+        raise ValueError("sign must be 'plus' or 'minus'")
+    return res
+
+
+def displacement_rank(R, p, sign):
+    """Block displacement count: ceil(numerical rank of the residue / p)."""
+    res = displacement_residue(R, p, sign)
+    sv = np.linalg.svd(res, compute_uv=False)
+    if sv.size == 0 or sv[0] == 0.0:
+        return 0
+    rank = int(np.sum(sv > 1e-10 * sv[0]))
+    return -(-rank // p)
+
+
+def gs_reconstruct(R1, R2, sign):
+    """Dense Gohberg-Semencul product of two generator columns."""
+    R1 = np.asarray(R1, dtype=float)
+    R2 = np.asarray(R2, dtype=float)
+    if R1.shape != R2.shape:
+        raise DimensionMismatch("generator shapes differ")
+    p = R1.shape[1]
+    t = R1.shape[0] // p
+    spec1 = BlockToeplitzSpec(R1.reshape(t, p, p), LOWER if sign == PLUS else UPPER)
+    spec2 = BlockToeplitzSpec(R2.reshape(t, p, p), LOWER if sign == PLUS else UPPER)
+    return densify(spec1) @ densify(spec2).T

@@ -91,21 +91,3 @@ def nres_dare(factor, P):
     frob = _stack_frobenius(K, M)
     return ResidualReport(frob / _cc_norm(C), frob, d)
 
-
-def min_eig_difference(S1, S2):
-    """Smallest eigenvalue of S2'S2 - S1'S1 via the joint row space."""
-    A = _factor_rows(S1)
-    B = _factor_rows(S2)
-    if A.size and B.size and A.shape[1] != B.shape[1]:
-        raise DimensionMismatch("factors act on different spaces")
-    n = B.shape[1] if B.size else A.shape[1]
-    T = np.vstack([np.zeros((0, n)), A.reshape(-1, n), B.reshape(-1, n)])
-    if not np.any(T):
-        return 0.0
-    Q, _ = np.linalg.qr(T.T)
-    D = (B @ Q).T @ (B @ Q) - (A @ Q).T @ (A @ Q)
-    vals = np.linalg.eigvalsh(0.5 * (D + D.T))
-    smallest = float(vals[0]) if vals.size else 0.0
-    if Q.shape[1] < n:
-        smallest = min(smallest, 0.0)
-    return smallest

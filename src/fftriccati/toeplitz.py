@@ -30,13 +30,6 @@ _CHUNK_BUDGET = 1 << 22  # complex workspace entries per FFT batch
 
 
 @dataclass(frozen=True)
-class ConvolutionPlan:
-    """FFT sizing for one block-convolution: power-of-two length >= 2t-1."""
-
-    fft_length: int
-
-
-@dataclass(frozen=True)
 class BlockToeplitzSpec:
     """Defining block column of a triangular block-Toeplitz matrix.
 
@@ -78,10 +71,6 @@ def next_pow2(n):
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def plan_convolution(t):
-    return ConvolutionPlan(fft_length=next_pow2(2 * t - 1))
-
-
 def circular_convolve(a, b):
     """Full linear convolution of two real sequences via zero-padded FFT.
 
@@ -116,7 +105,7 @@ def _conv_lower(col, Xb):
             for i in range(k + 1):
                 out[k] += col[i] @ Xb[k - i]
         return out
-    length = plan_convolution(t).fft_length
+    length = next_pow2(2 * t - 1)
     fcol = np.fft.rfft(col, length, axis=0)
     nfreq = fcol.shape[0]
     # keep the per-batch complex workspace bounded for wide right-hand sides

@@ -17,10 +17,11 @@ whose operator is I + toepL(D) toepL(D)' with D the strict part of the
 column, while the continuous sweep keeps the corner block Y on the diagonal
 and solves the full system plus its trailing principal submatrix system.
 
-Displacement-rank utilities used only by tests live at the bottom.
+Every Gram solve runs PCG with the fixed settings in ``_PCG``; the dense
+displacement-rank checks of these factors live in ``oracles``.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import scipy.linalg
@@ -28,12 +29,12 @@ import scipy.linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, PcgFailure
 from .pcg import (GramOperator, PcgConfig, TrailingGramOperator,
                   choose_preconditioner, pcg_solve)
-from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply_transpose,
-                       densify)
+from .toeplitz import LOWER, UPPER, BlockToeplitzSpec, bt_apply_transpose
 from .toeplitz import bt_apply  # noqa: F401  (bound here for the layer tracer)
 
 DARE_MODE = "dare"
 CARE_MODE = "care"
+_PCG = PcgConfig()  # rel_tol 1e-12, "auto" preconditioner
 
 
 @dataclass
@@ -70,11 +71,8 @@ def _lower_inv(L):
 @dataclass
 class StructuredInverse:
     artifacts: SweepArtifacts
-    Y: np.ndarray | None
-    mode: str
     t: int  # block order of the represented system
     p1: int
-    p2: int
     R: np.ndarray  # dim x dim upper triangular, R'R = (I + TT')^{-1}
 
     @property
@@ -97,17 +95,15 @@ class StructuredInverse:
         return self.R.T @ self.apply(V)
 
 
-def _solve_spd(op, precond, rhs, cfg, kappa_bound):
+def _solve_spd(op, precond, rhs, kappa_bound):
     """PCG with a conditioning-aware acceptance floor.
 
     The attainable CG residual is about eps * kappa; demanding less on a
     badly conditioned Gram system would fail spuriously, so a column counts
     as solved once it reaches max(rel_tol, 100 eps kappa_bound).
     """
-    if cfg.max_iter is None:
-        # ill-conditioned Gram systems can need ~sqrt(kappa) > dim iterations
-        cfg = PcgConfig(rel_tol=cfg.rel_tol, max_iter=50 * op.dim,
-                        preconditioner=cfg.preconditioner)
+    # ill-conditioned Gram systems can need ~sqrt(kappa) > dim iterations
+    cfg = replace(_PCG, max_iter=50 * op.dim)
     res = pcg_solve(op, precond, rhs, cfg)
     floor = max(cfg.rel_tol, 100.0 * np.finfo(float).eps * kappa_bound)
     bad = res.residuals > floor
@@ -118,14 +114,13 @@ def _solve_spd(op, precond, rhs, cfg, kappa_bound):
     return res.x
 
 
-def solve_sweep_systems(L_col, rhs_mode, cfg=None):
+def solve_sweep_systems(L_col, rhs_mode):
     """Build the structured inverse from a defining column [Y or 0; D].
 
     rhs_mode "dare" solves the inner (t-1)-block system driven by D alone;
     "care" keeps Y on the diagonal and solves the full t-block system for Q2
     and the trailing-submatrix system for Q3.
     """
-    cfg = cfg or PcgConfig()
     if L_col.orientation != LOWER:
         raise DimensionMismatch("sweep systems expect a lower spec")
     t, p1, p2 = L_col.t, L_col.p1, L_col.p2
@@ -138,41 +133,40 @@ def solve_sweep_systems(L_col, rhs_mode, cfg=None):
                 Q2c=np.zeros((0, p1)), Q2b=np.eye(p1), Q3t=None,
                 Q3c=np.zeros((0, p2)), W=np.eye(p2), Wtilde=np.eye(p2),
                 LQ=np.eye(p1), LW=np.eye(p2))
-            return StructuredInverse(art, None, rhs_mode, 0, p1, p2, np.zeros((0, 0)))
+            return StructuredInverse(art, 0, p1, np.zeros((0, 0)))
         D = blocks[1:]
         Dspec = BlockToeplitzSpec(D, LOWER)
         op = GramOperator(Dspec)
-        precond = choose_preconditioner(Dspec, cfg)
+        precond = choose_preconditioner(Dspec, _PCG)
         rhs_q2 = np.zeros((p1 * s, p1))
         rhs_q2[-p1:] = np.eye(p1)
         rhs_q3 = D.reshape(p1 * s, p2)
         kappa = 1.0 + s * float(np.sum(D * D))
-        sol = _solve_spd(op, precond, np.hstack([rhs_q2, rhs_q3]), cfg, kappa)
+        sol = _solve_spd(op, precond, np.hstack([rhs_q2, rhs_q3]), kappa)
         Q2, Q3 = sol[:, :p1], sol[:, p1:]
         Q2b, Q2c = Q2[-p1:], Q2[:-p1]
         Q3t, Q3c = Q3[:p1], Q3[p1:]
         W = np.eye(p2) - Q3.T @ rhs_q3
         Wtilde = W
         u2_col = np.vstack([Q3c, np.zeros((p1, p2))])
-        Y = None
         sys_t = s
     elif rhs_mode == CARE_MODE:
         Y = blocks[0]
         op = GramOperator(L_col)
-        precond = choose_preconditioner(L_col, cfg)
+        precond = choose_preconditioner(L_col, _PCG)
         rhs_q2 = np.zeros((p1 * t, p1))
         rhs_q2[-p1:] = np.eye(p1)
         kappa = 1.0 + t * float(np.sum(blocks * blocks))
-        Q2 = _solve_spd(op, precond, rhs_q2, cfg, kappa)
+        Q2 = _solve_spd(op, precond, rhs_q2, kappa)
         Q2b, Q2c = Q2[-p1:], Q2[:-p1]
         if t == 1:
             Q3 = np.zeros((0, p2))
         else:
             trail = TrailingGramOperator(L_col)
             trail_pc = choose_preconditioner(
-                BlockToeplitzSpec(blocks[:-1], LOWER), cfg)
+                BlockToeplitzSpec(blocks[:-1], LOWER), _PCG)
             rhs_q3 = blocks[1:].reshape(p1 * (t - 1), p2)
-            Q3 = _solve_spd(trail, trail_pc, rhs_q3, cfg, kappa)
+            Q3 = _solve_spd(trail, trail_pc, rhs_q3, kappa)
         rhs_q3 = blocks[1:].reshape(p1 * (t - 1), p2)
         W = np.eye(p2) - Q3.T @ rhs_q3
         Wtilde = W + W @ Y.T @ Y @ W
@@ -192,49 +186,5 @@ def solve_sweep_systems(L_col, rhs_mode, cfg=None):
     R = np.linalg.qr(np.vstack([
         bt_apply_transpose(BlockToeplitzSpec(u1_blocks, UPPER), eye),
         bt_apply_transpose(BlockToeplitzSpec(u2_blocks, UPPER), eye)]), mode="r")
-    return StructuredInverse(art, Y, rhs_mode, sys_t, p1, p2, R)
+    return StructuredInverse(art, sys_t, p1, R)
 
-
-# ---------------------------------------------------------------------------
-# displacement-rank utilities (test oracles)
-
-PLUS = "plus"
-MINUS = "minus"
-
-
-def displacement_residue(R, p, sign):
-    R = np.asarray(R, dtype=float)
-    n = R.shape[0]
-    if R.ndim != 2 or R.shape[1] != n or n % p:
-        raise DimensionMismatch("R must be square with order divisible by p")
-    res = R.copy()
-    if sign == PLUS:  # R - Z R Z'
-        res[p:, p:] -= R[:-p, :-p]
-    elif sign == MINUS:  # R - Z' R Z
-        res[:-p, :-p] -= R[p:, p:]
-    else:
-        raise ValueError("sign must be 'plus' or 'minus'")
-    return res
-
-
-def displacement_rank(R, p, sign):
-    """Block displacement count: ceil(numerical rank of the residue / p)."""
-    res = displacement_residue(R, p, sign)
-    sv = np.linalg.svd(res, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    return -(-rank // p)
-
-
-def gs_reconstruct(R1, R2, sign):
-    """Dense Gohberg-Semencul product of two generator columns."""
-    R1 = np.asarray(R1, dtype=float)
-    R2 = np.asarray(R2, dtype=float)
-    if R1.shape != R2.shape:
-        raise DimensionMismatch("generator shapes differ")
-    p = R1.shape[1]
-    t = R1.shape[0] // p
-    spec1 = BlockToeplitzSpec(R1.reshape(t, p, p), LOWER if sign == PLUS else UPPER)
-    spec2 = BlockToeplitzSpec(R2.reshape(t, p, p), LOWER if sign == PLUS else UPPER)
-    return densify(spec1) @ densify(spec2).T

@@ -8,13 +8,13 @@ import pytest
 import scipy.io
 import scipy.sparse
 
-from fftriccati.care import (CareProblem, cayley_transform, fta_care_solve,
-                             fta_care_sweep, radi_delta_check, residual_factor)
+from fftriccati.care import (cayley_transform, fta_care_solve, fta_care_sweep,
+                             residual_factor)
 from fftriccati.cli import generate_synthetic, main
-from fftriccati.dare import DareProblem, fta_dare_sweep
-from fftriccati.oracles import (dre_dense, random_care_instance,
-                                random_dare_instance, sda_dare_init, sda_dense)
-from fftriccati.residuals import min_eig_difference
+from fftriccati.dare import RiccatiProblem, fta_dare_sweep
+from fftriccati.oracles import (dre_dense, min_eig_difference, radi_delta_check,
+                                random_care_instance, random_dare_instance,
+                                sda_dare_init, sda_dense)
 from fftriccati.toeplitz import (LOWER, BlockToeplitzSpec, bt_apply, densify)
 from fftriccati.toeplitz_inverse import (CARE_MODE, DARE_MODE,
                                          solve_sweep_systems)
@@ -35,7 +35,7 @@ def test_criterion_01_dare_sweep_matches_dense_recursion(capsys):
         m = int(rng.integers(1, 4))
         l = int(rng.integers(1, 4))
         A, B, C = random_dare_instance(seed, n, m, l)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         for t in (1, 2, 4, 8, 16):
             X = fta_dare_sweep(P, t).gram()
             Xd = dre_dense(A, B, C, np.zeros((n, n)), t)
@@ -48,7 +48,7 @@ def test_criterion_01_dare_sweep_matches_dense_recursion(capsys):
 def test_criterion_02_doubling_subsequence_identity(capsys):
     ok = True
     A, B, C = random_dare_instance(21, 20, 2, 2)
-    P = DareProblem(A, B, C)
+    P = RiccatiProblem(A, B, C)
     state = sda_dare_init(A, B, C)
     for k in range(5):
         Hk = sda_dense(state, k).Hk
@@ -87,7 +87,7 @@ def test_criterion_04_monotone_trajectories(capsys):
     ok = True
     for seed in (0, 1, 2):
         A, B, C = random_dare_instance(seed, 16, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         prev = fta_dare_sweep(P, 1)
         for t in range(2, 17):
             cur = fta_dare_sweep(P, t)
@@ -96,7 +96,7 @@ def test_criterion_04_monotone_trajectories(capsys):
             prev = cur
     for seed in (3, 4):
         A, B, C = random_care_instance(seed, 16, 2, 2)
-        sys = cayley_transform(CareProblem(A, B, C), 1.0)
+        sys = cayley_transform(RiccatiProblem(A, B, C), 1.0)
         prev = fta_care_sweep(sys, 1).factor
         for t in range(2, 13):
             cur = fta_care_sweep(sys, t).factor
@@ -110,7 +110,7 @@ def test_criterion_05_residual_factorization(capsys):
     ok = True
     for seed, n in ((5, 12), (6, 24), (7, 32)):
         A, B, C = random_care_instance(seed, n, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         sys = cayley_transform(P, 1.0)
         for t in (1, 3, 6):
             sweep = fta_care_sweep(sys, t)
@@ -126,7 +126,7 @@ def test_criterion_06_step_identity(capsys):
     ok = True
     for seed, n in ((8, 12), (9, 24)):
         A, B, C = random_care_instance(seed, n, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         sys = cayley_transform(P, 1.0)
         for t in (2, 5):
             sweep = fta_care_sweep(sys, t)
@@ -139,7 +139,7 @@ def test_criterion_06_step_identity(capsys):
 
 
 def test_criterion_07_scalar_closed_forms(capsys):
-    P = CareProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+    P = RiccatiProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
     result = fta_care_solve(P, gamma0=1.0, t_per_round=8, stop=1e-12)
     ok = abs(result.factor.gram()[0, 0] - (np.sqrt(2.0) - 1.0)) <= 1e-10
     sys = cayley_transform(P, 1.0)
@@ -157,7 +157,7 @@ def test_criterion_08_antistable_label_tridiagonal_5000(capsys):
     rng = np.random.default_rng(1)
     B = rng.standard_normal((n, 4))
     C = rng.standard_normal((4, n))
-    P = CareProblem(A, B, C)
+    P = RiccatiProblem(A, B, C)
     tic = time.perf_counter()
     result = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6,
                             max_rounds=40)
@@ -195,7 +195,7 @@ def test_criterion_10_sweep_time_scales_subcubically(capsys):
     rng = np.random.default_rng(0)
     B = rng.standard_normal((n, 4))
     C = rng.standard_normal((4, n))
-    sys = cayley_transform(CareProblem(A, B, C), 1.5)
+    sys = cayley_transform(RiccatiProblem(A, B, C), 1.5)
     fta_care_sweep(sys, 8)  # warm caches and FFT plans
     times = {}
     for t in (64, 128):

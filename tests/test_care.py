@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fftriccati.care import (CareProblem, CayleySystem, cayley_transform,
-                             default_gamma0, fta_care_solve, fta_care_sweep,
-                             radi_delta_check, residual_factor)
-from fftriccati.dare import LowRankFactor
+from fftriccati.care import (CayleySystem, cayley_transform, default_gamma0,
+                             fta_care_solve, fta_care_sweep, residual_factor)
+from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, NoConvergence
-from fftriccati.oracles import (care_ground_truth, dre_dense,
+from fftriccati.oracles import (care_ground_truth, dre_dense, radi_delta_check,
                                 random_care_instance, sda_care_init)
 from fftriccati.residuals import nres_care
 
@@ -18,7 +17,7 @@ ANTISTABLE_ROOT = (1.0 + np.sqrt(5.0)) / 4.0  # positive root of 1 + 2x - 4x^2 =
 
 
 def scalar_problem(a=-1.0, b=1.0, c=1.0):
-    return CareProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
+    return RiccatiProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
 
 
 def dense_care_residual(P, X):
@@ -49,14 +48,14 @@ class TestCayley:
                                    [[0.0]], atol=1e-14)
 
     def test_zero_b(self):
-        P = CareProblem(np.array([[-1.0]]), np.array([[0.0]]), np.array([[1.0]]))
+        P = RiccatiProblem(np.array([[-1.0]]), np.array([[0.0]]), np.array([[1.0]]))
         sys = cayley_transform(P, 1.0)
         np.testing.assert_allclose(sys.Btilde, [[0.0]])
         np.testing.assert_allclose(sys.Ygamma, [[0.0]])
 
     def test_matches_dense_shifted_inverse(self):
         A, B, C = random_care_instance(0, 12, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         sys = cayley_transform(P, 0.7)
         Ainv = np.linalg.inv(A - 0.7 * np.eye(12))
         s = np.sqrt(1.4)
@@ -74,8 +73,8 @@ class TestCayley:
     def test_sparse_matches_dense(self):
         import scipy.sparse
         A, B, C = random_care_instance(2, 10, 1, 1)
-        Pd = CareProblem(A, B, C)
-        Ps = CareProblem(scipy.sparse.csr_matrix(A), B, C)
+        Pd = RiccatiProblem(A, B, C)
+        Ps = RiccatiProblem(scipy.sparse.csr_matrix(A), B, C)
         sd = cayley_transform(Pd, 1.3)
         ss = cayley_transform(Ps, 1.3)
         assert np.linalg.norm(sd.Btilde - ss.Btilde) <= 1e-11
@@ -90,7 +89,7 @@ class TestSweep:
 
     def test_t1_general_closed_form(self):
         A, B, C = random_care_instance(3, 10, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         sys = cayley_transform(P, 1.0)
         sweep = fta_care_sweep(sys, 1)
         Y = sys.Ygamma
@@ -99,7 +98,7 @@ class TestSweep:
 
     def test_matches_dense_cayley_dre(self):
         A, B, C = random_care_instance(4, 24, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         gamma = 1.0
         sys = cayley_transform(P, gamma)
         st = sda_care_init(A, B, C, gamma)
@@ -115,7 +114,7 @@ class TestSweep:
 
     def test_factor_has_t_l_rows(self):
         A, B, C = random_care_instance(6, 40, 2, 2)
-        sys = cayley_transform(CareProblem(A, B, C), 1.0)
+        sys = cayley_transform(RiccatiProblem(A, B, C), 1.0)
         for t in (1, 4, 8):
             assert fta_care_sweep(sys, t).factor.r == t * 2
 
@@ -142,7 +141,7 @@ class TestResidualFactor:
 
     def test_factorizes_dense_residual(self):
         A, B, C = random_care_instance(5, 16, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         sys = cayley_transform(P, 1.0)
         sweep = fta_care_sweep(sys, 4)
         Ct = residual_factor(sys, sweep, C)
@@ -166,7 +165,7 @@ class TestStepIdentity:
 
     def test_consecutive_iterates(self):
         A, B, C = random_care_instance(6, 16, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         gamma = 1.0
         sys = cayley_transform(P, gamma)
         sweep = fta_care_sweep(sys, 4)
@@ -179,7 +178,7 @@ class TestStepIdentity:
 
     def test_size_guard(self):
         A = -np.eye(100)
-        P = CareProblem(A, np.ones((100, 1)), np.ones((1, 100)))
+        P = RiccatiProblem(A, np.ones((100, 1)), np.ones((1, 100)))
         with pytest.raises(DimensionMismatch):
             radi_delta_check(P, LowRankFactor(np.zeros((0, 100))),
                              np.ones((1, 100)), 1.0)
@@ -202,7 +201,7 @@ class TestSolve:
         assert abs(dense_care_residual(P, np.array([[x]]))[0, 0]) <= 1e-10
 
     def test_zero_c(self):
-        P = CareProblem(-np.eye(3), np.ones((3, 1)), np.zeros((1, 3)))
+        P = RiccatiProblem(-np.eye(3), np.ones((3, 1)), np.zeros((1, 3)))
         result = fta_care_solve(P)
         assert result.factor.r == 0
         assert result.converged
@@ -210,7 +209,7 @@ class TestSolve:
 
     def test_random_stable_matches_doubling_fixed_point(self):
         A, B, C = random_care_instance(7, 16, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         result = fta_care_solve(P, gamma0=1.0, t_per_round=16, stop=1e-11)
         Xstar = care_ground_truth(A, B, C, 1.0)
         assert np.linalg.norm(result.factor.gram() - Xstar) \
@@ -225,7 +224,7 @@ class TestSolve:
         # stop = 1e-5 is attainable; the forward error below is the real check.
         for seed, n, m in ((5, 4, 2), (5, 8, 3)):
             A, B, C = separated_antistable(seed, n, m)
-            P = CareProblem(A, B, C)
+            P = RiccatiProblem(A, B, C)
             result = fta_care_solve(P, gamma0=8.0, t_per_round=16, stop=1e-5)
             X = scipy.linalg.solve_continuous_are(A, B, C.T @ C, np.eye(m))
             assert np.linalg.norm(result.factor.gram() - X) \
@@ -249,7 +248,7 @@ class TestSolve:
 
     def test_no_convergence_carries_state(self):
         A, B, C = random_care_instance(8, 12, 1, 1)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         with pytest.raises(NoConvergence) as exc:
             fta_care_solve(P, gamma0=1.0, t_per_round=1, stop=1e-13, max_rounds=2)
         assert exc.value.factor is not None
@@ -260,10 +259,12 @@ class TestSolve:
             fta_care_solve(scalar_problem(), gamma0=-1.0)
         with pytest.raises(ValueError):
             fta_care_solve(scalar_problem(), gamma0=1.0, shift_decay=0.5)
+        with pytest.raises(ValueError, match="max_rounds"):
+            fta_care_solve(scalar_problem(), gamma0=1.0, max_rounds=0)
 
     def test_emitted_nres_recomputable(self):
         A, B, C = random_care_instance(9, 12, 2, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         result = fta_care_solve(P, gamma0=1.0, t_per_round=8, stop=1e-10)
         rep = nres_care(result.factor, P)
         assert abs(result.history[-1].nres - rep.nres) <= 1e-12

@@ -6,10 +6,10 @@ import numpy as np
 import pytest
 import scipy.io
 
-from fftriccati.care import CareProblem, fta_care_solve
+from fftriccati.care import fta_care_solve
 from fftriccati.cli import generate_synthetic, main
 from fftriccati.residuals import nres_care, nres_dare
-from fftriccati.dare import DareProblem
+from fftriccati.dare import RiccatiProblem
 
 
 def write_scalar_care(tmp_path, a=-1.0, b=1.0, c=1.0):
@@ -89,7 +89,7 @@ class TestRun:
         x = float((S.T @ S)[0, 0])
         assert abs(x - (np.sqrt(2.0) - 1.0)) <= 1e-8
         # emitted nres is recomputable from the emitted factor
-        P = CareProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+        P = RiccatiProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
         assert abs(summary["final_nres"] - nres_care(S, P).nres) <= 1e-12
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "round,t,gamma,nres,rank,ms"
@@ -133,7 +133,7 @@ class TestRun:
             "t": 8, "stop_tol": 1e-10, "out_dir": str(out)})
         assert main(["run", "--config", cfg]) == 0
         S = np.atleast_2d(np.asarray(scipy.io.mmread(out / "factor.mtx")))
-        factor, _ = fta_dare_solve(DareProblem(A, B, C), t_per_restart=8,
+        factor, _ = fta_dare_solve(RiccatiProblem(A, B, C), t_per_restart=8,
                                    stop=1e-10)
         np.testing.assert_array_equal(S, factor.S)
 
@@ -201,6 +201,15 @@ class TestErrors:
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err
         assert "config keys not recognized" in err and key in err
+
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    def test_zero_max_rounds_rejected(self, tmp_path, capsys, equation):
+        paths = write_scalar_care(tmp_path, a=-0.5)
+        cfg = write_config(tmp_path, {
+            "equation": equation, "a": paths["a"], "b": paths["b"],
+            "c": paths["c"], "out_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", cfg, "--max-rounds", "0"]) == 1
+        assert "error: max_r" in capsys.readouterr().err
 
     def test_missing_equation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"a": "a.mtx", "b": "b.mtx", "c": "c.mtx"})

@@ -3,35 +3,35 @@
 import numpy as np
 import pytest
 
-from fftriccati.dare import (DareProblem, LowRankFactor, build_krylov_stack,
+from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              compress_factor, fta_dare_arbitrary,
                              fta_dare_solve, fta_dare_sweep)
 from fftriccati.errors import (DimensionMismatch, NoConvergence, StackBlowup)
-from fftriccati.oracles import (dre_dense, random_dare_instance,
-                                dare_ground_truth)
-from fftriccati.residuals import min_eig_difference, nres_dare
+from fftriccati.oracles import (dare_ground_truth, dre_dense,
+                                min_eig_difference, random_dare_instance)
+from fftriccati.residuals import nres_dare
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
 def scalar_problem(a=1.0, b=1.0, c=1.0):
-    return DareProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
+    return RiccatiProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
 
 
 class TestProblem:
     def test_dimensions(self):
-        P = DareProblem(np.eye(4), np.ones((4, 2)), np.ones((1, 4)))
+        P = RiccatiProblem(np.eye(4), np.ones((4, 2)), np.ones((1, 4)))
         assert (P.n, P.m, P.l) == (4, 2, 1)
 
     def test_validation(self):
         with pytest.raises(DimensionMismatch):
-            DareProblem(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((1, 3)))
+            RiccatiProblem(np.zeros((3, 2)), np.zeros((3, 1)), np.zeros((1, 3)))
         with pytest.raises(DimensionMismatch):
-            DareProblem(np.eye(3), np.zeros((2, 1)), np.zeros((1, 3)))
+            RiccatiProblem(np.eye(3), np.zeros((2, 1)), np.zeros((1, 3)))
         with pytest.raises(DimensionMismatch):
-            DareProblem(np.eye(3), np.zeros((3, 1)), np.zeros((1, 2)))
+            RiccatiProblem(np.eye(3), np.zeros((3, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
-            DareProblem(np.eye(3), np.full((3, 1), np.nan), np.zeros((1, 3)))
+            RiccatiProblem(np.eye(3), np.full((3, 1), np.nan), np.zeros((1, 3)))
 
 
 class TestKrylovStack:
@@ -44,7 +44,6 @@ class TestKrylovStack:
     def test_scalar_powers(self):
         st = build_krylov_stack(scalar_problem(), 3)
         np.testing.assert_allclose(st.Vt.ravel(), [1, 1, 1])
-        np.testing.assert_allclose(st.VtA.ravel(), [1, 1, 1])
         np.testing.assert_allclose(st.VB.ravel(), [1, 1])
 
     def test_matches_dense_powers(self):
@@ -52,20 +51,18 @@ class TestKrylovStack:
         A = rng.standard_normal((20, 20)) / 6.0
         B = rng.standard_normal((20, 2))
         C = rng.standard_normal((2, 20))
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         st = build_krylov_stack(P, 8)
         for k in range(8):
             blk = C @ np.linalg.matrix_power(A, k)
             assert np.linalg.norm(st.Vt[2 * k:2 * k + 2] - blk) <= 1e-12
-            nxt = C @ np.linalg.matrix_power(A, k + 1)
-            assert np.linalg.norm(st.VtA[2 * k:2 * k + 2] - nxt) <= 1e-12
         for k in range(7):
             assert np.linalg.norm(
                 st.VB[2 * k:2 * k + 2]
                 - C @ np.linalg.matrix_power(A, k) @ B) <= 1e-12
 
     def test_blowup_guard(self):
-        P = DareProblem(np.array([[1e30]]), np.array([[1.0]]), np.array([[1.0]]))
+        P = RiccatiProblem(np.array([[1e30]]), np.array([[1.0]]), np.array([[1.0]]))
         with pytest.raises(StackBlowup):
             build_krylov_stack(P, 8)
 
@@ -85,20 +82,20 @@ class TestSweep:
 
     def test_matches_dense_dre(self):
         A, B, C = random_dare_instance(1, 24, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         X8 = dre_dense(A, B, C, np.zeros((24, 24)), 8)
         S = fta_dare_sweep(P, 8)
         assert np.linalg.norm(S.gram() - X8) <= 1e-10 * np.linalg.norm(X8)
 
     def test_factor_has_t_l_rows(self):
         A, B, C = random_dare_instance(6, 40, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         for t in (1, 4, 8):
             assert fta_dare_sweep(P, t).r == t * 2
 
     def test_monotone_in_t(self):
         A, B, C = random_dare_instance(2, 16, 2, 1)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         prev = fta_dare_sweep(P, 1)
         for t in (2, 4, 8, 16):
             cur = fta_dare_sweep(P, t)
@@ -108,7 +105,7 @@ class TestSweep:
 
     def test_bounded_by_fixed_point(self):
         A, B, C = random_dare_instance(3, 12, 1, 1)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         Xstar = dare_ground_truth(A, B, C)
         X16 = fta_dare_sweep(P, 16).gram()
         vals = np.linalg.eigvalsh(Xstar - X16)
@@ -118,7 +115,7 @@ class TestSweep:
 class TestArbitraryInit:
     def test_zero_init_matches_sweep(self):
         A, B, C = random_dare_instance(4, 10, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         plain = fta_dare_sweep(P, 4).gram()
         arb = fta_dare_arbitrary(P, np.zeros((1, 10)), 4).gram()
         assert np.linalg.norm(plain - arb) <= 1e-11 * np.linalg.norm(plain)
@@ -129,7 +126,7 @@ class TestArbitraryInit:
 
     def test_matches_dense_dre_from_gamma(self):
         A, B, C = random_dare_instance(5, 16, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         rng = np.random.default_rng(50)
         G = rng.standard_normal((3, 16)) / 4.0
         dense = dre_dense(A, B, C, G.T @ G, 4)
@@ -202,6 +199,10 @@ class TestCompress:
 
 
 class TestSolve:
+    def test_max_restarts_must_be_positive(self):
+        with pytest.raises(ValueError, match="max_restarts"):
+            fta_dare_solve(scalar_problem(0.5), max_restarts=0)
+
     def test_scalar_converges_to_positive_root(self):
         P = scalar_problem(0.5, 1.0, 1.0)
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
@@ -217,7 +218,7 @@ class TestSolve:
 
     def test_random_stable_converges(self):
         A, B, C = random_dare_instance(8, 32, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10,
                                          max_restarts=6)
         assert history[-1].nres <= 1e-10
@@ -227,18 +228,18 @@ class TestSolve:
 
     def test_already_converged_returns_after_one_round(self):
         A, B, C = random_dare_instance(9, 8, 1, 1)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         _, history = fta_dare_solve(P, t_per_restart=64, stop=1e-2)
         assert len(history) == 1
 
     def test_zero_c_returns_zero_factor(self):
-        P = DareProblem(np.eye(3) * 0.5, np.ones((3, 1)), np.zeros((1, 3)))
+        P = RiccatiProblem(np.eye(3) * 0.5, np.ones((3, 1)), np.zeros((1, 3)))
         factor, history = fta_dare_solve(P)
         assert factor.r == 0 and history == []
 
     def test_no_convergence_carries_state(self):
         A, B, C = random_dare_instance(10, 12, 1, 1)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         with pytest.raises(NoConvergence) as exc:
             fta_dare_solve(P, t_per_restart=1, stop=1e-14, max_restarts=2)
         assert exc.value.factor is not None
@@ -246,7 +247,7 @@ class TestSolve:
 
     def test_history_records_are_complete(self):
         A, B, C = random_dare_instance(11, 10, 1, 1)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         _, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
         for i, rec in enumerate(history, start=1):
             assert rec.round == i

@@ -4,12 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fftriccati.care import CareProblem
-from fftriccati.dare import DareProblem, LowRankFactor
+from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, ZeroRhs
-from fftriccati.oracles import random_care_instance, random_dare_instance
-from fftriccati.residuals import (ResidualReport, min_eig_difference,
-                                  nres_care, nres_dare)
+from fftriccati.oracles import (min_eig_difference, random_care_instance,
+                                random_dare_instance)
+from fftriccati.residuals import ResidualReport, nres_care, nres_dare
 
 
 def dense_care_resid(P, X):
@@ -32,14 +31,14 @@ def psd_factor(X):
 class TestCare:
     def test_zero_factor_gives_one(self):
         A, B, C = random_care_instance(0, 8, 1, 2)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         rep = nres_care(LowRankFactor(np.zeros((0, 8))), P)
         assert rep.nres == pytest.approx(1.0, abs=1e-14)
         assert rep.gram_dim == 2
 
     def test_scalar_closed_form(self):
         # a=-1, b=c=1 at x=0.4: residual -0.8 - 0.16 + 1 = 0.04
-        P = CareProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+        P = RiccatiProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
         rep = nres_care(LowRankFactor(np.array([[np.sqrt(0.4)]])), P)
         assert rep.absolute_frobenius == pytest.approx(0.04, abs=1e-14)
         assert rep.nres == pytest.approx(0.04, abs=1e-14)
@@ -47,7 +46,7 @@ class TestCare:
     def test_matches_dense_evaluation(self):
         for seed, n, r in ((1, 12, 3), (2, 24, 5), (3, 48, 8)):
             A, B, C = random_care_instance(seed, n, 2, 2)
-            P = CareProblem(A, B, C)
+            P = RiccatiProblem(A, B, C)
             rng = np.random.default_rng(100 + seed)
             S = rng.standard_normal((r, n)) / np.sqrt(n)
             rep = nres_care(LowRankFactor(S), P)
@@ -63,7 +62,7 @@ class TestCare:
         A = -2.0 * np.eye(n) + np.eye(n, k=1) + np.eye(n, k=-1)  # 1-D Laplacian
         B = rng.standard_normal((n, 2))
         C = rng.standard_normal((2, n))
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         S = psd_factor(scipy.linalg.solve_continuous_are(A, B, C.T @ C, np.eye(2)))
         rep = nres_care(LowRankFactor(S), P)
         dense = np.linalg.norm(dense_care_resid(P, S.T @ S)) / np.linalg.norm(C.T @ C)
@@ -71,19 +70,19 @@ class TestCare:
         assert abs(rep.nres - dense) <= 1e-12
 
     def test_zero_c_raises(self):
-        P = CareProblem(-np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
+        P = RiccatiProblem(-np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
         with pytest.raises(ZeroRhs):
             nres_care(LowRankFactor(np.zeros((0, 2))), P)
 
     def test_wrong_width_rejected(self):
         A, B, C = random_care_instance(4, 6, 1, 1)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         with pytest.raises(DimensionMismatch):
             nres_care(LowRankFactor(np.ones((2, 5))), P)
 
     def test_accepts_plain_arrays(self):
         A, B, C = random_care_instance(5, 6, 1, 1)
-        P = CareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         S = np.zeros((1, 6))
         rep = nres_care(S, P)
         assert rep.nres == pytest.approx(1.0, abs=1e-14)
@@ -92,13 +91,13 @@ class TestCare:
 class TestDare:
     def test_zero_factor_gives_one(self):
         A, B, C = random_dare_instance(0, 8, 1, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         rep = nres_dare(LowRankFactor(np.zeros((0, 8))), P)
         assert rep.nres == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_second_iterate(self):
         # a=b=c=1 at x=1.5: -1.5 + 1.5/2.5 + 1 = 0.1
-        P = DareProblem(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+        P = RiccatiProblem(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
         rep = nres_dare(LowRankFactor(np.array([[np.sqrt(1.5)]])), P)
         assert rep.absolute_frobenius == pytest.approx(0.1, abs=1e-13)
         assert rep.nres == pytest.approx(0.1, abs=1e-13)
@@ -106,7 +105,7 @@ class TestDare:
     def test_matches_dense_evaluation(self):
         for seed, n, r in ((1, 12, 3), (2, 24, 6), (3, 48, 10)):
             A, B, C = random_dare_instance(seed, n, 2, 2)
-            P = DareProblem(A, B, C)
+            P = RiccatiProblem(A, B, C)
             rng = np.random.default_rng(200 + seed)
             S = rng.standard_normal((r, n)) / np.sqrt(n)
             rep = nres_dare(LowRankFactor(S), P)
@@ -118,7 +117,7 @@ class TestDare:
     @pytest.mark.parametrize("n", [30, 60])
     def test_exact_at_dense_solution(self, n):
         A, B, C = random_dare_instance(n, n, 2, 2)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         S = psd_factor(scipy.linalg.solve_discrete_are(A, B, C.T @ C, np.eye(2)))
         rep = nres_dare(LowRankFactor(S), P)
         dense = np.linalg.norm(dense_dare_resid(P, S.T @ S)) / np.linalg.norm(C.T @ C)
@@ -126,13 +125,13 @@ class TestDare:
         assert abs(rep.nres - dense) <= 1e-12
 
     def test_zero_c_raises(self):
-        P = DareProblem(0.5 * np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
+        P = RiccatiProblem(0.5 * np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
         with pytest.raises(ZeroRhs):
             nres_dare(LowRankFactor(np.zeros((0, 2))), P)
 
     def test_report_fields(self):
         A, B, C = random_dare_instance(4, 6, 1, 1)
-        P = DareProblem(A, B, C)
+        P = RiccatiProblem(A, B, C)
         rep = nres_dare(LowRankFactor(np.ones((2, 6)) * 0.1), P)
         assert isinstance(rep, ResidualReport)
         assert rep.gram_dim == 1 + 2 * 2

@@ -7,7 +7,7 @@ from fftriccati.errors import DimensionMismatch
 from fftriccati.toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
                                  bt_apply_transpose, bt_compose_lower,
                                  circular_convolve, densify, identity_spec,
-                                 next_pow2, plan_convolution, transpose_spec)
+                                 next_pow2, transpose_spec)
 
 
 def random_spec(rng, t, p1, p2, orientation=LOWER):
@@ -36,12 +36,6 @@ class TestConvolve:
 
 
 class TestPlan:
-    def test_power_of_two_length(self):
-        for t in (1, 2, 3, 5, 17, 64):
-            length = plan_convolution(t).fft_length
-            assert length >= 2 * t - 1
-            assert length & (length - 1) == 0
-
     def test_next_pow2_values(self):
         assert [next_pow2(k) for k in (1, 2, 3, 4, 5, 9)] == [1, 2, 4, 4, 8, 16]
 

@@ -4,11 +4,10 @@ import numpy as np
 import pytest
 
 from fftriccati.errors import DimensionMismatch
-from fftriccati.pcg import PcgConfig
+from fftriccati.oracles import (MINUS, PLUS, displacement_rank,
+                                displacement_residue, gs_reconstruct)
 from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
-from fftriccati.toeplitz_inverse import (CARE_MODE, DARE_MODE, MINUS, PLUS,
-                                         displacement_rank,
-                                         displacement_residue, gs_reconstruct,
+from fftriccati.toeplitz_inverse import (CARE_MODE, DARE_MODE,
                                          solve_sweep_systems)
 
 
@@ -143,15 +142,6 @@ class TestCareMode:
         col = BlockToeplitzSpec(np.zeros((2, 1, 1)), LOWER)
         with pytest.raises(ValueError):
             solve_sweep_systems(col, "dre")
-
-    def test_explicit_config_accepted(self):
-        rng = np.random.default_rng(8)
-        col = care_col(rng, 4, 1, 1)
-        inv = solve_sweep_systems(col, CARE_MODE, PcgConfig(rel_tol=1e-11))
-        M = dense_gram(col)
-        V = rng.standard_normal((4, 2))
-        out = inv.apply_inverse(V)
-        assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
 
 
 class TestTriangularFactor:
