@@ -21,7 +21,7 @@ import scipy.linalg
 
 from .errors import (DimensionMismatch, NoConvergence, NotPositiveDefinite,
                      StackBlowup)
-from .linops import rowmul
+from .linops import qr_r, rowmul
 from .toeplitz import LOWER, BlockToeplitzSpec, bt_apply
 from .toeplitz_inverse import DARE_MODE, solve_sweep_systems
 
@@ -98,9 +98,10 @@ class RoundRecord:
     round: int
     t: int
     gamma: float
-    nres: float
+    nres: float  # the value the stop test used
     rank: int
     ms: float
+    nres_factor: float = None  # CARE only: ||C_k C_k'||_F / ||CC'||_F
 
 
 def _krylov_blocks(W0, rapply, count):
@@ -194,7 +195,7 @@ def compress_factor(factor, tau):
         raise StackBlowup("factor to compress has non-finite entries")
     if S.shape[0] == 0 or not np.any(S):
         return LowRankFactor(np.zeros((0, S.shape[1])))
-    R = np.linalg.qr(S.T, mode="r")
+    R = qr_r(S.T)
     u, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     keep = sv > tau * sv[0] if tau > 0 else sv > 0
     return LowRankFactor(u[:, keep].T @ S)

@@ -7,7 +7,7 @@ I + C C^H is Hermitian positive definite, so its construction can only fail
 numerically, in which case callers fall back to the identity.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -4,7 +4,13 @@ For X = S'S the residual is K' M K with the stack K = [C; S; SA] and a small
 symmetric coupling matrix M. A thin QR K' = QR of the n x (l + 2r) stack
 gives ||K' M K||_F = ||R M R'||_F, a norm of an (l + 2r)-square matrix that
 is exact to rounding error (a Gram trace would lose half the digits to
-cancellation) — no n x n matrix is ever formed.
+cancellation) — no n x n matrix is ever formed.  R comes from
+``linops.qr_r`` (blocked LAPACK dgeqrt, Q never formed).
+
+The CARE loop calls ``nres_care`` only to confirm a stop (and once on a
+capped run); every round it uses ``_cc_norm`` of its residual factor C_k,
+whose C_k'C_k is the residual before compression.  DARE restarts have no
+residual factor and call ``nres_dare`` every restart.
 """
 
 from dataclasses import dataclass
@@ -13,7 +19,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, NotPositiveDefinite, ZeroRhs
-from .linops import rowmul
+from .linops import qr_r, rowmul
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,7 @@ def _cc_norm(C):
 
 def _stack_frobenius(K, M):
     """||K' M K||_F as ||R M R'||_F from a thin QR K' = QR."""
-    R = np.linalg.qr(K.T, mode="r")
+    R = qr_r(K.T)
     return float(np.linalg.norm(R @ M @ R.T))
 
 

@@ -159,15 +159,14 @@ def solve_sweep_systems(L_col, rhs_mode):
         kappa = 1.0 + t * float(np.sum(blocks * blocks))
         Q2 = _solve_spd(op, precond, rhs_q2, kappa)
         Q2b, Q2c = Q2[-p1:], Q2[:-p1]
+        rhs_q3 = blocks[1:].reshape(p1 * (t - 1), p2)
         if t == 1:
             Q3 = np.zeros((0, p2))
         else:
             trail = TrailingGramOperator(L_col)
             trail_pc = choose_preconditioner(
                 BlockToeplitzSpec(blocks[:-1], LOWER), _PCG)
-            rhs_q3 = blocks[1:].reshape(p1 * (t - 1), p2)
             Q3 = _solve_spd(trail, trail_pc, rhs_q3, kappa)
-        rhs_q3 = blocks[1:].reshape(p1 * (t - 1), p2)
         W = np.eye(p2) - Q3.T @ rhs_q3
         Wtilde = W + W @ Y.T @ Y @ W
         Q3t, Q3c = None, Q3

@@ -4,7 +4,6 @@ import json
 import time
 
 import numpy as np
-import pytest
 import scipy.io
 import scipy.sparse
 

@@ -3,12 +3,13 @@
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse
 
-from fftriccati.care import (CayleySystem, cayley_transform, default_gamma0,
-                             fta_care_solve, fta_care_sweep, residual_factor)
+from fftriccati.care import (cayley_transform, default_gamma0, fta_care_solve,
+                             fta_care_sweep, residual_factor)
 from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, NoConvergence
-from fftriccati.oracles import (care_ground_truth, dre_dense, radi_delta_check,
+from fftriccati.oracles import (care_ground_truth, radi_delta_check,
                                 random_care_instance, sda_care_init)
 from fftriccati.residuals import nres_care
 
@@ -23,6 +24,14 @@ def scalar_problem(a=-1.0, b=1.0, c=1.0):
 def dense_care_residual(P, X):
     A = np.asarray(P.A, dtype=float)
     return A.T @ X + X @ A - X @ P.B @ P.B.T @ X + P.C.T @ P.C
+
+
+def laplacian_problem(n, m, l, seed=0):
+    """Stable 1-D Laplacian with Gaussian B and C."""
+    A = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                           [-1, 0, 1], format="csr")
+    rng = np.random.default_rng(seed)
+    return RiccatiProblem(A, rng.standard_normal((n, m)), rng.standard_normal((l, n)))
 
 
 def separated_antistable(seed, n, m):
@@ -71,7 +80,6 @@ class TestCayley:
             cayley_transform(scalar_problem(), 0.0)
 
     def test_sparse_matches_dense(self):
-        import scipy.sparse
         A, B, C = random_care_instance(2, 10, 1, 1)
         Pd = RiccatiProblem(A, B, C)
         Ps = RiccatiProblem(scipy.sparse.csr_matrix(A), B, C)
@@ -273,3 +281,57 @@ class TestSolve:
         A = np.diag([-1.0, -2.0, -3.0])
         assert default_gamma0(A) == pytest.approx(0.1 * 3.0 / 3.0)
         assert default_gamma0(np.zeros((2, 2))) == 1e-6
+
+
+class TestStopTest:
+    """Rounds stop on the residual factor's norm; the exact residual decides."""
+
+    @pytest.mark.parametrize("tau", [1e-12, 1e-6, 1e-3])
+    def test_converged_factor_meets_stop(self, tau):
+        P = laplacian_problem(100, 1, 1)
+        result = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=tau, stop=1e-4)
+        assert result.converged
+        exact = nres_care(result.factor, P).nres
+        assert exact <= 1e-4
+        assert result.history[-1].nres == exact
+        assert all(rec.nres_factor is not None for rec in result.history)
+
+    def test_large_tau_widens_gap(self):
+        P = laplacian_problem(100, 1, 1)
+        gaps = []
+        for tau in (1e-12, 1e-3):
+            last = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=tau,
+                                  stop=1e-4).history[-1]
+            gaps.append(abs(last.nres - last.nres_factor))
+        assert gaps[1] > 1e3 * gaps[0]
+
+    def test_exact_check_above_stop_continues(self):
+        # compressed at tau = 1e-3, round 7 has cheap 4.02e-5 < exact 4.12e-5;
+        # a stop between them must be rejected by the exact value
+        P = laplacian_problem(100, 1, 1)
+        first = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-3,
+                               stop=1e-4).history[-1]
+        assert first.nres_factor < first.nres
+        stop = np.sqrt(first.nres * first.nres_factor)
+        result = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-3, stop=stop)
+        rejected = result.history[first.round - 1]
+        assert rejected.nres_factor <= stop < rejected.nres
+        assert result.converged and len(result.history) > first.round
+        assert nres_care(result.factor, P).nres <= stop
+
+    def test_factor_norm_tracks_exact_on_laplacian(self):
+        P = laplacian_problem(200, 2, 2)
+        result = fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8)
+        last = result.history[-1]
+        assert result.converged
+        assert abs(last.nres - last.nres_factor) <= 1e-3 * last.nres
+
+    def test_capped_run_reports_exact_residual(self):
+        P = laplacian_problem(200, 2, 2)
+        with pytest.raises(NoConvergence) as exc:
+            fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8, max_rounds=3)
+        last = exc.value.history[-1]
+        exact = nres_care(exc.value.factor, P).nres
+        assert abs(last.nres - exact) <= 1e-12
+        assert last.nres_factor is not None
+        assert "%.3e" % exact in str(exc.value)

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 import scipy.io
 
-from fftriccati.care import fta_care_solve
 from fftriccati.cli import generate_synthetic, main
-from fftriccati.residuals import nres_care, nres_dare
+from fftriccati.residuals import nres_care
 from fftriccati.dare import RiccatiProblem
 
 
@@ -118,6 +117,22 @@ class TestRun:
         assert summary["converged"] is False
         assert summary["rounds"] == 2
         assert summary["note"]
+
+    def test_no_convergence_final_nres_recomputable(self, tmp_path):
+        # tau = 1e-3 compresses hard, so the residual factor's norm misses the
+        # truncation: the summary must carry the exact residual of factor.mtx
+        a, b, c = generate_synthetic("laplacian1d_stable", 100, 1, 1, 0, tmp_path)
+        out = tmp_path / "nc"
+        cfg = write_config(tmp_path, {
+            "equation": "care", "a": str(a), "b": str(b), "c": str(c),
+            "gamma0": 1.5, "t": 16, "tau": 1e-3, "stop_tol": 1e-8,
+            "max_rounds": 8, "out_dir": str(out)})
+        assert main(["run", "--config", cfg]) == 2
+        summary = json.loads((out / "summary.json").read_text())
+        S = np.atleast_2d(np.asarray(scipy.io.mmread(out / "factor.mtx")))
+        P = RiccatiProblem(scipy.io.mmread(a).tocsr(), scipy.io.mmread(b),
+                           scipy.io.mmread(c))
+        assert abs(summary["final_nres"] - nres_care(S, P).nres) <= 1e-12
 
     def test_dare_run_matches_library(self, tmp_path):
         rng = np.random.default_rng(3)

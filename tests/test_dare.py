@@ -255,6 +255,7 @@ class TestSolve:
             assert rec.gamma == 0.0
             assert rec.ms >= 0.0
             assert rec.rank >= 0
+            assert rec.nres_factor is None  # restarts carry no residual factor
         # nres recomputable from the returned factor
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
         assert abs(history[-1].nres - nres_dare(factor, P).nres) <= 1e-12

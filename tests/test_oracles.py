@@ -5,7 +5,7 @@ import pytest
 import scipy.linalg
 
 from fftriccati.errors import DimensionMismatch, SingularShift
-from fftriccati.oracles import (SdaState, care_ground_truth, dare_ground_truth,
+from fftriccati.oracles import (care_ground_truth, dare_ground_truth,
                                 dre_dense, random_care_instance,
                                 random_dare_instance, random_orthogonal,
                                 sda_care_init, sda_dare_init, sda_dense,

@@ -1,0 +1,53 @@
+"""No module of the package or the test suite imports a name it never uses."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+FILES = sorted(p for p in (ROOT / "src" / "fftriccati").glob("*.py")
+               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+
+
+def imported_names(tree):
+    """{bound name: line} for every import statement in the module."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                if alias.name != "*":
+                    names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def used_names(tree):
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and any(
+                isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
+            used.update(elt.value for elt in node.value.elts
+                        if isinstance(elt, ast.Constant))
+    return used
+
+
+def unused_imports(source):
+    """(line, name) of each unused import; a "# noqa" import line is exempt."""
+    tree = ast.parse(source)
+    used = used_names(tree)
+    lines = source.splitlines()
+    return sorted((line, name) for name, line in imported_names(tree).items()
+                  if name not in used and "# noqa" not in lines[line - 1])
+
+
+def test_detector_finds_unused_and_respects_all():
+    src = ("import os\nimport numpy as np\nfrom a import b, c\n"
+           "from d import e  # noqa: F401\n__all__ = ['c']\nnp.zeros(1)\n")
+    assert unused_imports(src) == [(1, "os"), (3, "b")]
+
+
+def test_no_unused_imports():
+    found = ["%s:%d %s" % (path.relative_to(ROOT), line, name)
+             for path in FILES for line, name in unused_imports(path.read_text())]
+    assert not found, "unused imports: " + ", ".join(found)
