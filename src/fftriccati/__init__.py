@@ -17,8 +17,7 @@ from .pcg import (BlockCirculantPreconditioner, GramOperator, PcgConfig,
                   pcg_solve)
 from .residuals import ResidualReport, nres_care, nres_dare
 from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
-                       bt_apply_transpose, bt_compose_lower, circular_convolve,
-                       densify)
+                       bt_apply_transpose, densify)
 from .toeplitz_inverse import (StructuredInverse, SweepArtifacts,
                                solve_sweep_systems)
 

@@ -5,8 +5,9 @@
 The fixed-point iterate X_t admits the closed form V_t'(I + T T')^{-1}V_t
 with V_t the Krylov stack of C and T a strictly lower block-Toeplitz matrix
 built from V_{t-1}B.  One "sweep" evaluates that closed form through the
-structured inverse, returning a factor S with S'S = X_t; restarts feed the
-compressed factor back in as the initial term of the next sweep.
+structured inverse, returning a factor S with S'S = X_t.  A start
+X_0 = Gamma'Gamma only appends g rows, so a solve builds the sweep once and
+each restart appends the initial-term rows of its compressed factor.
 
 The problem type, the low-rank factor, the per-round record, the guarded
 Krylov-block builder and the factor compression defined here are shared with
@@ -132,40 +133,27 @@ def build_krylov_stack(P, t):
     return KrylovStack(Vt=np.vstack(blocks), VB=_vb_stack(blocks, P.B))
 
 
-def _sweep_inverse(P, stack, t):
-    col = np.vstack([np.zeros((P.l, P.m)), stack.VB]).reshape(t, P.l, P.m)
-    return solve_sweep_systems(BlockToeplitzSpec(col, LOWER), DARE_MODE)
-
-
-def fta_dare_sweep(P, t):
-    """Factor of the DRE iterate X_t from X_0 = 0; S'S = X_t."""
+def _sweep_base(P, t):
+    """(Krylov stack, structured inverse or None at t = 1, factor rows of X_t from 0)."""
     stack = build_krylov_stack(P, t)
     if t == 1:
-        return LowRankFactor(P.C.copy())
-    inv = _sweep_inverse(P, stack, t)
-    return LowRankFactor(np.vstack([P.C, inv.apply(stack.Vt[P.l:])]))
+        return stack, None, P.C.copy()
+    col = np.vstack([np.zeros((P.l, P.m)), stack.VB]).reshape(t, P.l, P.m)
+    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), DARE_MODE)
+    return stack, inv, np.vstack([P.C, inv.apply(stack.Vt[P.l:])])
 
 
-def fta_dare_arbitrary(P, Gamma, t):
-    """Factor of the DRE iterate X_t from X_0 = Gamma'Gamma."""
-    Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    if Gamma.size == 0 or not np.any(Gamma):
-        return fta_dare_sweep(P, t)
-    if Gamma.shape[1] != P.n:
-        raise DimensionMismatch("Gamma must have n columns")
+def _initial_term(P, base, Gamma, t):
+    """Rows S_Gamma that the start X_0 = Gamma'Gamma appends to the base rows."""
+    stack, inv, rows = base
     g = Gamma.shape[0]
-
-    stack = build_krylov_stack(P, t)
     # propagate the initial factor through the same powers of A
     gpow = _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t)
     gb = [Gk @ P.B for Gk in gpow[:t]]
-
-    if t == 1:
-        S = np.zeros((0, P.n))
+    S = rows[P.l:]
+    if inv is None:
         XiG = np.zeros((0, g))
     else:
-        inv = _sweep_inverse(P, stack, t)
-        S = inv.apply(stack.Vt[P.l:])
         # coupling columns: toepL(V_{t-1}B) applied to the reversed GB stack
         M = np.vstack([gb[t - 1 - j].T for j in range(t - 1)])
         vb_spec = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m), LOWER)
@@ -176,8 +164,23 @@ def fta_dare_arbitrary(P, Gamma, t):
         LG = np.linalg.cholesky(0.5 * (WG + WG.T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("initial-term coupling matrix W_Gamma") from exc
-    SG = scipy.linalg.solve_triangular(LG, gpow[t] - XiG.T @ S, lower=True)
-    return LowRankFactor(np.vstack([P.C, S, SG]))
+    return scipy.linalg.solve_triangular(LG, gpow[t] - XiG.T @ S, lower=True)
+
+
+def fta_dare_sweep(P, t):
+    """Factor of the DRE iterate X_t from X_0 = 0; S'S = X_t."""
+    return LowRankFactor(_sweep_base(P, t)[2])
+
+
+def fta_dare_arbitrary(P, Gamma, t):
+    """Factor of the DRE iterate X_t from X_0 = Gamma'Gamma."""
+    Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
+    if Gamma.size == 0 or not np.any(Gamma):
+        return fta_dare_sweep(P, t)
+    if Gamma.shape[1] != P.n:
+        raise DimensionMismatch("Gamma must have n columns")
+    base = _sweep_base(P, t)
+    return LowRankFactor(np.vstack([base[2], _initial_term(P, base, Gamma, t)]))
 
 
 def compress_factor(factor, tau):
@@ -214,10 +217,11 @@ def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
     for rnd in range(1, max_restarts + 1):
         tic = time.perf_counter()
         if factor is None:
-            raw = fta_dare_sweep(P, t_per_restart)
+            base = _sweep_base(P, t_per_restart)
+            raw = base[2]
         else:
-            raw = fta_dare_arbitrary(P, factor.S, t_per_restart)
-        factor = compress_factor(raw, tau)
+            raw = np.vstack([base[2], _initial_term(P, base, factor.S, t_per_restart)])
+        factor = compress_factor(LowRankFactor(raw), tau)
         rep = nres_dare(factor, P)
         ms = 1000.0 * (time.perf_counter() - tic)
         history.append(RoundRecord(rnd, t_per_restart, 0.0, rep.nres, factor.r, ms))

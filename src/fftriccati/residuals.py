@@ -45,27 +45,44 @@ def _stack_frobenius(K, M):
     return float(np.linalg.norm(R @ M @ R.T))
 
 
-def nres_care(factor, P):
-    """Relative residual of A'X + XA - XBB'X + C'C at X = S'S."""
+def _relative_residual(factor, P, coupling):
+    """Report for K' M K with K = [C; S; SA], M = diag(I_l, coupling(SB)), X = S'S."""
     S = _factor_rows(factor)
     C = P.C
     if not np.any(C):
         raise ZeroRhs("C = 0: relative residual undefined")
-    if S.size and S.shape[1] != P.n:
-        raise DimensionMismatch("factor has %d columns, n = %d" % (S.shape[1], P.n))
-    if S.shape[0] == 0:
+    if not S.size:
         S = np.zeros((0, P.n))
-    r, l = S.shape[0], C.shape[0]
+    elif S.shape[1] != P.n:
+        raise DimensionMismatch("factor has %d columns, n = %d" % (S.shape[1], P.n))
+    l = C.shape[0]
     K = np.vstack([C, S, rowmul(S, P.A)])
-    SB = S @ P.B
-    d = l + 2 * r
+    d = K.shape[0]
     M = np.zeros((d, d))
     M[:l, :l] = np.eye(l)
-    M[l:l + r, l:l + r] = -(SB @ SB.T)
-    M[l:l + r, l + r:] = np.eye(r)
-    M[l + r:, l:l + r] = np.eye(r)
+    M[l:, l:] = coupling(S @ P.B)
     frob = _stack_frobenius(K, M)
     return ResidualReport(frob / _cc_norm(C), frob, d)
+
+
+def _care_coupling(SB):
+    r = SB.shape[0]
+    return np.block([[-(SB @ SB.T), np.eye(r)], [np.eye(r), np.zeros((r, r))]])
+
+
+def _dare_coupling(SB):
+    r = SB.shape[0]
+    try:
+        cho = scipy.linalg.cho_factor(np.eye(r) + SB @ SB.T, lower=True)
+    except scipy.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("I + (SB)(SB)' failed Cholesky") from exc
+    Ninv = scipy.linalg.cho_solve(cho, np.eye(r))
+    return np.block([[-np.eye(r), np.zeros((r, r))], [np.zeros((r, r)), 0.5 * (Ninv + Ninv.T)]])
+
+
+def nres_care(factor, P):
+    """Relative residual of A'X + XA - XBB'X + C'C at X = S'S."""
+    return _relative_residual(factor, P, _care_coupling)
 
 
 def nres_dare(factor, P):
@@ -74,26 +91,4 @@ def nres_dare(factor, P):
     The middle inverse collapses through the push-through identity to
     (I + (SB)(SB)')^{-1} acting on the small side.
     """
-    S = _factor_rows(factor)
-    C = P.C
-    if not np.any(C):
-        raise ZeroRhs("C = 0: relative residual undefined")
-    if S.shape[0] == 0 or not S.size:
-        S = np.zeros((0, P.n))
-    r, l = S.shape[0], C.shape[0]
-    K = np.vstack([C, S, rowmul(S, P.A)])
-    SB = S @ P.B
-    N = np.eye(r) + SB @ SB.T
-    try:
-        cho = scipy.linalg.cho_factor(N, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("I + (SB)(SB)' failed Cholesky") from exc
-    Ninv = scipy.linalg.cho_solve(cho, np.eye(r))
-    d = l + 2 * r
-    M = np.zeros((d, d))
-    M[:l, :l] = np.eye(l)
-    M[l:l + r, l:l + r] = -np.eye(r)
-    M[l + r:, l + r:] = 0.5 * (Ninv + Ninv.T)
-    frob = _stack_frobenius(K, M)
-    return ResidualReport(frob / _cc_norm(C), frob, d)
-
+    return _relative_residual(factor, P, _dare_coupling)

@@ -71,22 +71,6 @@ def next_pow2(n):
     return 1 << max(0, int(n - 1)).bit_length()
 
 
-def circular_convolve(a, b):
-    """Full linear convolution of two real sequences via zero-padded FFT.
-
-    Result length is len(a) + len(b) - 1, identical to polynomial
-    multiplication of the coefficient sequences.
-    """
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if a.size == 0 or b.size == 0:
-        raise DimensionMismatch("convolution inputs must be nonempty")
-    n = a.size + b.size - 1
-    length = next_pow2(n)
-    out = np.fft.irfft(np.fft.rfft(a, length) * np.fft.rfft(b, length), length)
-    return out[:n]
-
-
 def _as_blocks(X, p, t):
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] != p * t:
@@ -141,26 +125,6 @@ def transpose_spec(spec):
 def bt_apply_transpose(spec, X):
     """Apply the transpose of the represented matrix to a p1*t x q matrix."""
     return bt_apply(transpose_spec(spec), X)
-
-
-def bt_compose_lower(A, B):
-    """Defining column of toepL(A) @ toepL(B) as a truncated block convolution."""
-    if A.orientation != LOWER or B.orientation != LOWER:
-        raise DimensionMismatch("bt_compose_lower requires two lower specs")
-    if A.t != B.t:
-        raise DimensionMismatch("block orders differ: %d vs %d" % (A.t, B.t))
-    if A.p2 != B.p1:
-        raise DimensionMismatch(
-            "inner block dimensions differ: %d vs %d" % (A.p2, B.p1))
-    col = _conv_lower(A.blocks, B.blocks)
-    return BlockToeplitzSpec(col, LOWER)
-
-
-def identity_spec(t, p):
-    """Lower spec of the identity: [I, 0, ..., 0]."""
-    blocks = np.zeros((t, p, p))
-    blocks[0] = np.eye(p)
-    return BlockToeplitzSpec(blocks, LOWER)
 
 
 def densify(spec):

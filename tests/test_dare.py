@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from fftriccati import dare
 from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              compress_factor, fta_dare_arbitrary,
                              fta_dare_solve, fta_dare_sweep)
@@ -259,3 +260,41 @@ class TestSolve:
         # nres recomputable from the returned factor
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
         assert abs(history[-1].nres - nres_dare(factor, P).nres) <= 1e-12
+
+
+class TestSolveBuildsSweepOnce:
+    """A restart appends its initial-term rows to the one sweep of the solve."""
+
+    def test_sweep_built_once_over_restarts(self, monkeypatch):
+        calls = {"solve_sweep_systems": 0, "build_krylov_stack": 0}
+        for name in calls:
+            original = getattr(dare, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+            monkeypatch.setattr(dare, name, counted)
+        A, B, C = random_dare_instance(8, 32, 2, 2)
+        _, history = fta_dare_solve(RiccatiProblem(A, B, C), t_per_restart=8,
+                                    stop=1e-10, max_restarts=6)
+        assert len(history) >= 4
+        assert calls == {"solve_sweep_systems": 1, "build_krylov_stack": 1}
+
+    @pytest.mark.parametrize("t", [8, 1])
+    def test_matches_public_restart_chain_bitwise(self, t):
+        A, B, C = random_dare_instance(8, 32, 2, 2)
+        P = RiccatiProblem(A, B, C)
+        tau = 1e-12
+        try:
+            factor, history = fta_dare_solve(P, t_per_restart=t, tau=tau,
+                                             stop=1e-10, max_restarts=6)
+        except NoConvergence as exc:
+            factor, history = exc.factor, exc.history
+        assert len(history) >= 4
+        chain = compress_factor(fta_dare_sweep(P, t), tau)
+        for k, rec in enumerate(history):
+            if k:
+                chain = compress_factor(fta_dare_arbitrary(P, chain.S, t), tau)
+            assert rec.nres == nres_dare(chain, P).nres
+            assert rec.rank == chain.r
+        assert np.array_equal(factor.S, chain.S)

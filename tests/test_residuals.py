@@ -169,3 +169,10 @@ class TestMinEigDifference:
     def test_mismatched_widths(self):
         with pytest.raises(DimensionMismatch):
             min_eig_difference(np.ones((1, 3)), np.ones((1, 4)))
+
+
+@pytest.mark.parametrize("nres", [nres_care, nres_dare])
+def test_factor_width_checked(nres):
+    P = RiccatiProblem(0.5 * np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+    with pytest.raises(DimensionMismatch):
+        nres(LowRankFactor(np.ones((2, 4))), P)

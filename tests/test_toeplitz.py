@@ -5,34 +5,12 @@ import pytest
 
 from fftriccati.errors import DimensionMismatch
 from fftriccati.toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
-                                 bt_apply_transpose, bt_compose_lower,
-                                 circular_convolve, densify, identity_spec,
-                                 next_pow2, transpose_spec)
+                                 bt_apply_transpose, densify, next_pow2,
+                                 transpose_spec)
 
 
 def random_spec(rng, t, p1, p2, orientation=LOWER):
     return BlockToeplitzSpec(rng.standard_normal((t, p1, p2)), orientation)
-
-
-class TestConvolve:
-    def test_polynomial_product(self):
-        np.testing.assert_allclose(circular_convolve([1, 2], [1, 3]), [1, 5, 6])
-
-    def test_identity_kernel(self):
-        x = [3.0, -1.0, 2.0, 7.0]
-        np.testing.assert_allclose(circular_convolve([1.0], x), x)
-
-    def test_matches_direct_convolution(self):
-        rng = np.random.default_rng(0)
-        a = rng.standard_normal(33)
-        b = rng.standard_normal(33)
-        direct = np.convolve(a, b)
-        fast = circular_convolve(a, b)
-        assert np.linalg.norm(fast - direct) <= 1e-12 * np.linalg.norm(direct)
-
-    def test_empty_input_rejected(self):
-        with pytest.raises(DimensionMismatch):
-            circular_convolve([], [1.0])
 
 
 class TestPlan:
@@ -87,7 +65,9 @@ class TestApply:
     def test_identity_column_is_identity_map(self):
         rng = np.random.default_rng(3)
         X = rng.standard_normal((3 * 7, 2))
-        np.testing.assert_allclose(bt_apply(identity_spec(7, 3), X), X)
+        blocks = np.zeros((7, 3, 3))
+        blocks[0] = np.eye(3)
+        np.testing.assert_allclose(bt_apply(BlockToeplitzSpec(blocks, LOWER), X), X)
 
     def test_deterministic(self):
         rng = np.random.default_rng(4)
@@ -138,36 +118,3 @@ class TestTranspose:
             spec = random_spec(rng, 6, 2, 3, orientation)
             np.testing.assert_allclose(densify(transpose_spec(spec)),
                                        densify(spec).T)
-
-
-class TestCompose:
-    def test_scalar_truncated_convolution(self):
-        a = BlockToeplitzSpec(np.array([1.0, 2.0]).reshape(2, 1, 1))
-        b = BlockToeplitzSpec(np.array([1.0, 3.0]).reshape(2, 1, 1))
-        np.testing.assert_allclose(bt_compose_lower(a, b).blocks.ravel(), [1, 5])
-
-    def test_identity_composition(self):
-        rng = np.random.default_rng(9)
-        b = random_spec(rng, 5, 3, 2)
-        out = bt_compose_lower(identity_spec(5, 3), b)
-        np.testing.assert_allclose(out.blocks, b.blocks)
-
-    def test_matches_densified_product_column(self):
-        rng = np.random.default_rng(10)
-        a = random_spec(rng, 6, 2, 3)
-        b = random_spec(rng, 6, 3, 2)
-        dense = densify(a) @ densify(b)
-        composed = densify(bt_compose_lower(a, b))
-        assert np.linalg.norm(composed - dense) <= 1e-12 * np.linalg.norm(dense)
-        # block-triangular structure preserved up to roundoff
-        assert np.linalg.norm(np.triu(composed, 1) - np.triu(dense, 1)) \
-            <= 1e-12 * np.linalg.norm(dense)
-
-    def test_incompatible_specs_rejected(self):
-        a = BlockToeplitzSpec(np.zeros((3, 2, 2)))
-        with pytest.raises(DimensionMismatch):
-            bt_compose_lower(a, BlockToeplitzSpec(np.zeros((4, 2, 2))))
-        with pytest.raises(DimensionMismatch):
-            bt_compose_lower(a, BlockToeplitzSpec(np.zeros((3, 3, 2))))
-        with pytest.raises(DimensionMismatch):
-            bt_compose_lower(a, BlockToeplitzSpec(np.zeros((3, 2, 2)), UPPER))
