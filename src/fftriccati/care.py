@@ -147,7 +147,7 @@ def fta_care_sweep(sys, t):
     if t < 1:
         raise DimensionMismatch("t must be >= 1")
     l, m = sys.Ctilde.shape[0], sys.Btilde.shape[1]
-    blocks = _krylov_blocks(sys.Ctilde, sys.atilde_rapply, t - 1)
+    blocks = list(_krylov_blocks(sys.Ctilde, sys.atilde_rapply, t - 1))
     Vt = np.vstack(blocks)
     col = np.vstack([sys.Ygamma, _vb_stack(blocks, sys.Btilde)]).reshape(t, l, m)
     inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), CARE_MODE)

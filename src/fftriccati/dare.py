@@ -7,7 +7,9 @@ with V_t the Krylov stack of C and T a strictly lower block-Toeplitz matrix
 built from V_{t-1}B.  One "sweep" evaluates that closed form through the
 structured inverse, returning a factor S with S'S = X_t.  A start
 X_0 = Gamma'Gamma only appends g rows, so a solve builds the sweep once and
-each restart appends the initial-term rows of its compressed factor.
+each restart appends the initial-term rows of its compressed factor.  Those
+rows need Gamma A^k B (k < t) and Gamma A^t only, so a restart propagates
+Gamma with one live g x n block.
 
 The problem type, the low-rank factor, the per-round record, the guarded
 Krylov-block builder and the factor compression defined here are shared with
@@ -19,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.sparse
 
 from .errors import (DimensionMismatch, NoConvergence, NotPositiveDefinite,
                      StackBlowup)
@@ -43,6 +46,11 @@ class RiccatiProblem:
         n = self.A.shape[0]
         if self.A.shape[1] != n:
             raise DimensionMismatch("A must be square")
+        # tocsr() returns a CSR A itself and reads every other format alike
+        # (DIA padding, LIL row lists)
+        values = self.A.tocsr().data if scipy.sparse.issparse(self.A) else self.A
+        if not np.all(np.isfinite(values)):
+            raise DimensionMismatch("A must be finite")
         if B.shape[0] != n:
             raise DimensionMismatch("B must have n rows")
         if C.shape[1] != n:
@@ -106,16 +114,19 @@ class RoundRecord:
 
 
 def _krylov_blocks(W0, rapply, count):
-    """[W0, rapply(W0), ...] with count applications, each block overflow-guarded."""
-    blocks = [W0]
-    for _ in range(count):
-        W = rapply(blocks[-1])
+    """Yield W0, rapply(W0), ... (count applications), each block overflow-guarded.
+
+    Only the current block is held; callers that need the stack take list().
+    """
+    W = W0
+    yield W
+    for depth in range(1, count + 1):
+        W = rapply(W)
         # entrywise bounds: a norm's sum of squares would overflow first; NaN fails both
         if not (W.min(initial=0.0) >= -_BLOWUP_LIMIT and W.max(initial=0.0) <= _BLOWUP_LIMIT):
             raise StackBlowup("Krylov block exceeded the overflow guard at depth %d"
-                              % len(blocks))
-        blocks.append(W)
-    return blocks
+                              % depth)
+        yield W
 
 
 def _vb_stack(blocks, B):
@@ -129,7 +140,7 @@ def build_krylov_stack(P, t):
     """Row-block powers of A applied to C; never forms A^t."""
     if t < 1:
         raise DimensionMismatch("t must be >= 1")
-    blocks = _krylov_blocks(P.C, lambda W: rowmul(W, P.A), t - 1)
+    blocks = list(_krylov_blocks(P.C, lambda W: rowmul(W, P.A), t - 1))
     return KrylovStack(Vt=np.vstack(blocks), VB=_vb_stack(blocks, P.B))
 
 
@@ -144,12 +155,17 @@ def _sweep_base(P, t):
 
 
 def _initial_term(P, base, Gamma, t):
-    """Rows S_Gamma that the start X_0 = Gamma'Gamma appends to the base rows."""
+    """Rows S_Gamma that the start X_0 = Gamma'Gamma appends to the base rows.
+
+    Gamma is propagated through the same powers of A as a stream: only the
+    small products Gamma A^k B (k < t) and the last block Gamma A^t are kept,
+    so one g x n block is live at a time instead of t + 1.
+    """
     stack, inv, rows = base
     g = Gamma.shape[0]
-    # propagate the initial factor through the same powers of A
     gpow = _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t)
-    gb = [Gk @ P.B for Gk in gpow[:t]]
+    gb = [next(gpow) @ P.B for _ in range(t)]
+    GAt = next(gpow)
     S = rows[P.l:]
     if inv is None:
         XiG = np.zeros((0, g))
@@ -164,7 +180,7 @@ def _initial_term(P, base, Gamma, t):
         LG = np.linalg.cholesky(0.5 * (WG + WG.T))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite("initial-term coupling matrix W_Gamma") from exc
-    return scipy.linalg.solve_triangular(LG, gpow[t] - XiG.T @ S, lower=True)
+    return scipy.linalg.solve_triangular(LG, GAt - XiG.T @ S, lower=True)
 
 
 def fta_dare_sweep(P, t):
@@ -175,10 +191,10 @@ def fta_dare_sweep(P, t):
 def fta_dare_arbitrary(P, Gamma, t):
     """Factor of the DRE iterate X_t from X_0 = Gamma'Gamma."""
     Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
-    if Gamma.size == 0 or not np.any(Gamma):
-        return fta_dare_sweep(P, t)
     if Gamma.shape[1] != P.n:
         raise DimensionMismatch("Gamma must have n columns")
+    if not np.any(Gamma):
+        return fta_dare_sweep(P, t)
     base = _sweep_base(P, t)
     return LowRankFactor(np.vstack([base[2], _initial_term(P, base, Gamma, t)]))
 

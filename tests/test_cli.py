@@ -226,6 +226,15 @@ class TestErrors:
         assert main(["run", "--config", cfg, "--max-rounds", "0"]) == 1
         assert "error: max_r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    def test_non_finite_a_rejected(self, tmp_path, capsys, equation):
+        paths = write_scalar_care(tmp_path, a=np.nan)
+        cfg = write_config(tmp_path, {
+            "equation": equation, "a": paths["a"], "b": paths["b"],
+            "c": paths["c"], "out_dir": str(tmp_path / "out")})
+        assert main(["run", "--config", cfg]) == 1
+        assert "A must be finite" in capsys.readouterr().err
+
     def test_missing_equation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"a": "a.mtx", "b": "b.mtx", "c": "c.mtx"})
         assert main(["run", "--config", cfg]) == 1

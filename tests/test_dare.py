@@ -1,7 +1,10 @@
 """Discrete-time Riccati sweeps, restarts, and compression."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+import scipy.sparse
 
 from fftriccati import dare
 from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
@@ -33,6 +36,16 @@ class TestProblem:
             RiccatiProblem(np.eye(3), np.zeros((3, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
             RiccatiProblem(np.eye(3), np.full((3, 1), np.nan), np.zeros((1, 3)))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
+    def test_non_finite_a_rejected(self, bad, sparse):
+        A = np.eye(3)
+        A[1, 2] = bad
+        if sparse:
+            A = scipy.sparse.csr_array(A)
+        with pytest.raises(DimensionMismatch, match="A must be finite"):
+            RiccatiProblem(A, np.ones((3, 1)), np.ones((1, 3)))
 
 
 class TestKrylovStack:
@@ -137,6 +150,17 @@ class TestArbitraryInit:
     def test_gamma_shape_checked(self):
         with pytest.raises(DimensionMismatch):
             fta_dare_arbitrary(scalar_problem(), np.ones((1, 2)), 2)
+
+    @pytest.mark.parametrize("shape", [(1, 2), (0, 5)])
+    def test_zero_gamma_width_checked(self, shape):
+        with pytest.raises(DimensionMismatch, match="n columns"):
+            fta_dare_arbitrary(scalar_problem(), np.zeros(shape), 2)
+
+    def test_empty_gamma_is_plain_sweep(self):
+        A, B, C = random_dare_instance(4, 10, 2, 2)
+        P = RiccatiProblem(A, B, C)
+        arb = fta_dare_arbitrary(P, np.zeros((0, 10)), 4)
+        assert np.array_equal(arb.S, fta_dare_sweep(P, 4).S)
 
 
 class TestCompress:
@@ -298,3 +322,39 @@ class TestSolveBuildsSweepOnce:
             assert rec.nres == nres_dare(chain, P).nres
             assert rec.rank == chain.r
         assert np.array_equal(factor.S, chain.S)
+
+
+def heat_problem(n):
+    """Explicit Euler step of the 1-D heat equation, A = I + 0.25 L; m = l = 1."""
+    lap = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],
+                             [-1, 0, 1], format="csr")
+    rng = np.random.default_rng(0)
+    return RiccatiProblem(scipy.sparse.identity(n, format="csr") + 0.25 * lap,
+                          rng.standard_normal((n, 1)), rng.standard_normal((1, n)))
+
+
+class TestInitialTermStreams:
+    """A restart propagates Gamma through A^k with one live g x n block."""
+
+    def test_peak_memory_does_not_grow_with_t(self):
+        n, g = 3000, 12
+        P = heat_problem(n)
+        Gamma = np.random.default_rng(1).standard_normal((g, n))
+        block = g * n * 8
+        peaks = {}
+        for t in (8, 32, 64):
+            base = dare._sweep_base(P, t)
+            tracemalloc.start()
+            try:
+                dare._initial_term(P, base, Gamma, t)
+                peaks[t] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[64] <= 5 * block, peaks
+        assert max(peaks.values()) - min(peaks.values()) <= block, peaks
+
+    def test_guard_reports_depth_inside_propagation(self):
+        # Gamma A^2 = 3e151 trips the 1e150 guard at the second application
+        P = scalar_problem(a=100.0)
+        with pytest.raises(StackBlowup, match="depth 2"):
+            fta_dare_arbitrary(P, np.array([[3e147]]), 2)
