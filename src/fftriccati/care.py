@@ -32,7 +32,7 @@ from .errors import (DimensionMismatch, NoConvergence, SingularClosedLoop,
 from .linops import one_norm
 from .residuals import _cc_norm, nres_care
 from .toeplitz import LOWER, BlockToeplitzSpec
-from .toeplitz_inverse import CARE_MODE, solve_sweep_systems
+from .toeplitz_inverse import solve_sweep_systems
 
 
 class ShiftedSolver:
@@ -150,7 +150,7 @@ def fta_care_sweep(sys, t):
     blocks = list(_krylov_blocks(sys.Ctilde, sys.atilde_rapply, t - 1))
     Vt = np.vstack(blocks)
     col = np.vstack([sys.Ygamma, _vb_stack(blocks, sys.Btilde)]).reshape(t, l, m)
-    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), CARE_MODE)
+    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER))
     return CareSweep(LowRankFactor(inv.apply(Vt)), inv)
 
 

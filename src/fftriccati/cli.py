@@ -7,7 +7,9 @@ directory: ``factor.mtx`` (the final low-rank factor, array format),
 
 Exit codes: 0 converged, 1 input error, 2 no convergence, 3 numerical
 failure inside the solve (PCG, overflow guard, Cholesky, shift ...); codes 2
-and 3 still write the summary, with the failure named in its note.
+and 3 still write the summary, with the failure named in its note.  A failed
+run that recorded no round writes ``final_nres: null``; a converged zero-RHS
+solve (no round either) writes 0.0.
 """
 
 import argparse
@@ -107,7 +109,7 @@ def _write_outputs(out_dir, equation, factor, history, converged, total_ms, note
         "equation": equation,
         "converged": bool(converged),
         "rounds": len(history),
-        "final_nres": history[-1].nres if history else 0.0,
+        "final_nres": history[-1].nres if history else (0.0 if converged else None),
         "final_rank": factor.r if factor is not None else 0,
         "total_time_ms": total_ms,
         "note": note,

@@ -2,10 +2,11 @@
 
     -X + A'X(I + BB'X)^{-1}A + C'C = 0.
 
-The fixed-point iterate X_t admits the closed form V_t'(I + T T')^{-1}V_t
-with V_t the Krylov stack of C and T a strictly lower block-Toeplitz matrix
-built from V_{t-1}B.  One "sweep" evaluates that closed form through the
-structured inverse, returning a factor S with S'S = X_t.  A start
+The fixed-point iterate X_t admits the closed form
+X_t = C'C + V'(I + T T')^{-1}V with V = [CA; ...; CA^{t-1}] and T the lower
+block-Toeplitz matrix of the t - 1 blocks V_{t-1}B = [CB; ...; CA^{t-2}B].
+One "sweep" evaluates that closed form through the structured inverse,
+returning a factor S with S'S = X_t.  A start
 X_0 = Gamma'Gamma only appends g rows, so a solve builds the sweep once and
 each restart appends the initial-term rows of its compressed factor.  Those
 rows need Gamma A^k B (k < t) and Gamma A^t only, so a restart propagates
@@ -27,7 +28,7 @@ from .errors import (DimensionMismatch, NoConvergence, NotPositiveDefinite,
                      StackBlowup)
 from .linops import qr_r, rowmul
 from .toeplitz import LOWER, BlockToeplitzSpec, bt_apply
-from .toeplitz_inverse import DARE_MODE, solve_sweep_systems
+from .toeplitz_inverse import solve_sweep_systems
 
 _BLOWUP_LIMIT = 1e150
 
@@ -145,13 +146,16 @@ def build_krylov_stack(P, t):
 
 
 def _sweep_base(P, t):
-    """(Krylov stack, structured inverse or None at t = 1, factor rows of X_t from 0)."""
+    """(inner T = toepL(V_{t-1}B), its structured inverse, factor rows of X_t from 0).
+
+    T and the inverse are None at t = 1.
+    """
     stack = build_krylov_stack(P, t)
     if t == 1:
-        return stack, None, P.C.copy()
-    col = np.vstack([np.zeros((P.l, P.m)), stack.VB]).reshape(t, P.l, P.m)
-    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER), DARE_MODE)
-    return stack, inv, np.vstack([P.C, inv.apply(stack.Vt[P.l:])])
+        return None, None, P.C.copy()
+    T = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m), LOWER)
+    inv = solve_sweep_systems(T)
+    return T, inv, np.vstack([P.C, inv.apply(stack.Vt[P.l:])])
 
 
 def _initial_term(P, base, Gamma, t):
@@ -161,7 +165,7 @@ def _initial_term(P, base, Gamma, t):
     small products Gamma A^k B (k < t) and the last block Gamma A^t are kept,
     so one g x n block is live at a time instead of t + 1.
     """
-    stack, inv, rows = base
+    T, inv, rows = base
     g = Gamma.shape[0]
     gpow = _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t)
     gb = [next(gpow) @ P.B for _ in range(t)]
@@ -170,10 +174,9 @@ def _initial_term(P, base, Gamma, t):
     if inv is None:
         XiG = np.zeros((0, g))
     else:
-        # coupling columns: toepL(V_{t-1}B) applied to the reversed GB stack
+        # coupling columns: T applied to the reversed GB stack
         M = np.vstack([gb[t - 1 - j].T for j in range(t - 1)])
-        vb_spec = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m), LOWER)
-        XiG = inv.apply(bt_apply(vb_spec, M))
+        XiG = inv.apply(bt_apply(T, M))
 
     WG = np.eye(g) + sum(gbk @ gbk.T for gbk in gb) - XiG.T @ XiG
     try:

@@ -15,8 +15,7 @@ from fftriccati.oracles import (dre_dense, min_eig_difference, radi_delta_check,
                                 random_care_instance, random_dare_instance,
                                 sda_dare_init, sda_dense)
 from fftriccati.toeplitz import (LOWER, BlockToeplitzSpec, bt_apply, densify)
-from fftriccati.toeplitz_inverse import (CARE_MODE, DARE_MODE,
-                                         solve_sweep_systems)
+from fftriccati.toeplitz_inverse import solve_sweep_systems
 
 
 def report(capsys, num, ok):
@@ -64,16 +63,11 @@ def test_criterion_03_structured_inverse_identity_action(capsys):
         p1 = int(rng.integers(1, 4))
         p2 = int(rng.integers(1, 4))
         blocks = rng.standard_normal((t, p1, p2))
-        for mode in (DARE_MODE, CARE_MODE):
-            col = blocks.copy()
-            if mode == DARE_MODE:
-                col[0] = 0.0
-            spec = BlockToeplitzSpec(col, LOWER)
-            inv = solve_sweep_systems(spec, mode)
-            if mode == DARE_MODE:
-                T = densify(BlockToeplitzSpec(col[1:], LOWER))
-            else:
-                T = densify(spec)
+        # a DARE sweep's inner column and a CARE column [Y; D]
+        for spec in (BlockToeplitzSpec(blocks[1:], LOWER),
+                     BlockToeplitzSpec(blocks, LOWER)):
+            inv = solve_sweep_systems(spec)
+            T = densify(spec)
             M = np.eye(T.shape[0]) + T @ T.T
             V = rng.standard_normal((M.shape[0], 2))
             out = inv.apply_inverse(V)

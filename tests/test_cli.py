@@ -188,6 +188,20 @@ class TestNumericalFailure:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["converged"] is False
         assert "StackBlowup" in summary["note"]
+        assert summary["rounds"] == 0
+        assert summary["final_nres"] is None  # no round: no residual, not 0.0
+
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    def test_zero_rhs_converges_with_zero_nres(self, tmp_path, equation):
+        paths = write_scalar_care(tmp_path, c=0.0)
+        out = tmp_path / "zero"
+        cfg = write_config(tmp_path, {
+            "equation": equation, "a": paths["a"], "b": paths["b"],
+            "c": paths["c"], "gamma0": 1.0, "out_dir": str(out)})
+        assert main(["run", "--config", cfg]) == 0
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rounds"] == 0
+        assert summary["final_nres"] == 0.0
 
 
 class TestErrors:

@@ -138,13 +138,15 @@ class TestArbitraryInit:
         S = fta_dare_arbitrary(scalar_problem(), np.array([[1.0]]), 1)
         np.testing.assert_allclose(S.gram(), [[1.5]], atol=1e-12)
 
-    def test_matches_dense_dre_from_gamma(self):
+    # t = 2: the coupling runs through a one-block inner system, Q3 empty
+    @pytest.mark.parametrize("t", [2, 4])
+    def test_matches_dense_dre_from_gamma(self, t):
         A, B, C = random_dare_instance(5, 16, 2, 2)
         P = RiccatiProblem(A, B, C)
         rng = np.random.default_rng(50)
         G = rng.standard_normal((3, 16)) / 4.0
-        dense = dre_dense(A, B, C, G.T @ G, 4)
-        S = fta_dare_arbitrary(P, G, 4)
+        dense = dre_dense(A, B, C, G.T @ G, t)
+        S = fta_dare_arbitrary(P, G, t)
         assert np.linalg.norm(S.gram() - dense) <= 1e-10 * np.linalg.norm(dense)
 
     def test_gamma_shape_checked(self):

@@ -7,18 +7,25 @@ from fftriccati.errors import DimensionMismatch
 from fftriccati.oracles import (MINUS, PLUS, displacement_rank,
                                 displacement_residue, gs_reconstruct)
 from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
-from fftriccati.toeplitz_inverse import (CARE_MODE, DARE_MODE,
-                                         solve_sweep_systems)
+from fftriccati.toeplitz_inverse import solve_sweep_systems
 
 
-def dare_col(rng, t, p1, p2):
+def zero_corner_col(rng, t, p1, p2):
     col = rng.standard_normal((t, p1, p2))
-    col[0] = 0.0  # strictly lower system: zero corner block
+    col[0] = 0.0  # strictly lower column: zero corner block
     return BlockToeplitzSpec(col, LOWER)
+
+
+def inner_col(rng, t, p1, p2):
+    """Inner column of a t-step DARE sweep: t - 1 blocks, nonzero diagonal."""
+    return BlockToeplitzSpec(rng.standard_normal((t, p1, p2))[1:], LOWER)
 
 
 def care_col(rng, t, p1, p2):
     return BlockToeplitzSpec(rng.standard_normal((t, p1, p2)), LOWER)
+
+
+COLUMNS = {"dare": inner_col, "care": care_col}  # test ids name the sweep
 
 
 def dense_gram(spec):
@@ -26,108 +33,75 @@ def dense_gram(spec):
     return np.eye(T.shape[0]) + T @ T.T
 
 
-class TestDareMode:
-    def test_t1_degenerates_to_identity(self):
-        col = BlockToeplitzSpec(np.zeros((1, 2, 3)), LOWER)
-        inv = solve_sweep_systems(col, DARE_MODE)
-        np.testing.assert_allclose(inv.artifacts.Q2b, np.eye(2))
-        np.testing.assert_allclose(inv.artifacts.W, np.eye(3))
-        V = np.arange(6.0).reshape(2, 3)
-        xi = inv.apply(V)
-        assert xi.shape == (0, 3)
-        np.testing.assert_allclose(inv.apply_inverse(V), V)
+class TestCareMode:
+    """The one formula on both sweeps' columns: a CARE column [Y; D] and a
+    DARE sweep's inner column."""
 
-    def test_scalar_t2_artifacts(self):
-        # column [0; 1]: inner system I + DD' = 2
-        col = BlockToeplitzSpec(np.array([0.0, 1.0]).reshape(2, 1, 1), LOWER)
-        inv = solve_sweep_systems(col, DARE_MODE)
+    def test_scalar_t1_artifacts(self):
+        # spec [[1]]: I + TT' = 2, no trailing system
+        inv = solve_sweep_systems(BlockToeplitzSpec(np.ones((1, 1, 1)), LOWER))
         art = inv.artifacts
         np.testing.assert_allclose(art.Q2b, [[0.5]], atol=1e-12)
         assert art.Q2c.shape == (0, 1)
-        np.testing.assert_allclose(art.Q3t, [[0.5]], atol=1e-12)
-        assert art.Q3c.shape == (0, 1)
-        np.testing.assert_allclose(art.W, [[0.5]], atol=1e-12)
+        assert art.Q3.shape == (0, 1)
+        np.testing.assert_allclose(art.W, [[1.0]])
 
-    def test_artifacts_satisfy_their_linear_systems(self):
+    @pytest.mark.parametrize("kind", list(COLUMNS))
+    def test_artifacts_satisfy_their_linear_systems(self, kind):
         rng = np.random.default_rng(0)
-        col = dare_col(rng, 8, 1, 1)
-        inv = solve_sweep_systems(col, DARE_MODE)
-        D = col.blocks[1:]
-        Dspec = BlockToeplitzSpec(D, LOWER)
-        M = dense_gram(Dspec)
-        s = 7
+        col = COLUMNS[kind](rng, 8, 1, 1)
+        inv = solve_sweep_systems(col)
+        M = dense_gram(col)
+        t = col.t
         Q2 = np.vstack([inv.artifacts.Q2c, inv.artifacts.Q2b])
-        rhs2 = np.zeros((s, 1))
+        rhs2 = np.zeros((t, 1))
         rhs2[-1] = 1.0
         assert np.linalg.norm(M @ Q2 - rhs2) <= 1e-10
-        Q3 = np.vstack([inv.artifacts.Q3t, inv.artifacts.Q3c])
-        rhs3 = D.reshape(s, 1)
-        assert np.linalg.norm(M @ Q3 - rhs3) <= 1e-10
+        rhs3 = col.blocks[1:].reshape(t - 1, 1)
+        assert np.linalg.norm(M[1:, 1:] @ inv.artifacts.Q3 - rhs3) <= 1e-10
 
-    def test_inverse_identity_action(self):
-        rng = np.random.default_rng(1)
-        for t, p1, p2 in ((2, 1, 1), (5, 2, 1), (9, 1, 3), (17, 2, 2), (33, 3, 2)):
-            col = dare_col(rng, t, p1, p2)
-            inv = solve_sweep_systems(col, DARE_MODE)
-            D = BlockToeplitzSpec(col.blocks[1:], LOWER)
-            M = dense_gram(D)
-            V = rng.standard_normal((p1 * (t - 1), 3))
-            out = inv.apply_inverse(V)
-            assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
-
-    def test_quadratic_form_identity(self):
-        rng = np.random.default_rng(2)
-        col = dare_col(rng, 12, 2, 1)
-        inv = solve_sweep_systems(col, DARE_MODE)
-        D = BlockToeplitzSpec(col.blocks[1:], LOWER)
-        M = dense_gram(D)
-        V = rng.standard_normal((2 * 11, 4))
-        xi = inv.apply(V)
-        lhs = xi.T @ xi
-        rhs = V.T @ np.linalg.solve(M, V)
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
-
-    def test_zero_input(self):
-        rng = np.random.default_rng(3)
-        inv = solve_sweep_systems(dare_col(rng, 4, 2, 2), DARE_MODE)
-        xi = inv.apply(np.zeros((6, 2)))
-        assert np.linalg.norm(xi) == 0.0
-
-
-class TestCareMode:
     def test_inverse_identity_action_full_system(self):
         rng = np.random.default_rng(4)
-        for t, p1, p2 in ((1, 2, 1), (2, 1, 1), (8, 2, 2), (16, 1, 2), (33, 2, 1)):
-            col = care_col(rng, t, p1, p2)
-            inv = solve_sweep_systems(col, CARE_MODE)
-            M = dense_gram(col)
-            V = rng.standard_normal((p1 * t, 3))
-            out = inv.apply_inverse(V)
-            assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
+        shapes = {care_col: ((1, 2, 1), (2, 1, 1), (8, 2, 2), (16, 1, 2), (33, 2, 1)),
+                  inner_col: ((2, 1, 1), (5, 2, 1), (9, 1, 3), (17, 2, 2), (33, 3, 2))}
+        for make, cases in shapes.items():
+            for t, p1, p2 in cases:
+                col = make(rng, t, p1, p2)
+                inv = solve_sweep_systems(col)
+                M = dense_gram(col)
+                V = rng.standard_normal((M.shape[0], 3))
+                out = inv.apply_inverse(V)
+                assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
 
     def test_quadratic_form_identity(self):
         rng = np.random.default_rng(5)
-        col = care_col(rng, 16, 2, 1)
-        inv = solve_sweep_systems(col, CARE_MODE)
-        M = dense_gram(col)
-        V = rng.standard_normal((32, 5))
-        xi = inv.apply(V)
-        lhs = xi.T @ xi
-        rhs = V.T @ np.linalg.solve(M, V)
-        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        for col in (care_col(rng, 16, 2, 1), inner_col(rng, 17, 2, 1)):
+            inv = solve_sweep_systems(col)
+            M = dense_gram(col)
+            V = rng.standard_normal((M.shape[0], 5))
+            xi = inv.apply(V)
+            lhs = xi.T @ xi
+            rhs = V.T @ np.linalg.solve(M, V)
+            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+    def test_zero_input(self):
+        rng = np.random.default_rng(3)
+        inv = solve_sweep_systems(inner_col(rng, 4, 2, 2))
+        xi = inv.apply(np.zeros((6, 2)))
+        assert np.linalg.norm(xi) == 0.0
 
     def test_top_block_of_q2_vanishes_for_zero_corner(self):
         # zero corner block reduces the full system to the strictly lower one
         rng = np.random.default_rng(6)
-        col = dare_col(rng, 10, 2, 2)
-        inv = solve_sweep_systems(col, CARE_MODE)
+        col = zero_corner_col(rng, 10, 2, 2)
+        inv = solve_sweep_systems(col)
         Q2 = np.vstack([inv.artifacts.Q2c, inv.artifacts.Q2b])
         assert np.linalg.norm(Q2[:2]) <= 1e-11
 
     def test_wtilde_matches_dense_definition(self):
         rng = np.random.default_rng(7)
         col = care_col(rng, 6, 1, 2)
-        inv = solve_sweep_systems(col, CARE_MODE)
+        inv = solve_sweep_systems(col)
         Y = col.blocks[0]
         W = inv.artifacts.W
         np.testing.assert_allclose(inv.artifacts.Wtilde,
@@ -136,26 +110,17 @@ class TestCareMode:
     def test_rejects_upper_spec(self):
         spec = BlockToeplitzSpec(np.zeros((2, 1, 1)), "upper")
         with pytest.raises(DimensionMismatch):
-            solve_sweep_systems(spec, CARE_MODE)
-
-    def test_rejects_unknown_mode(self):
-        col = BlockToeplitzSpec(np.zeros((2, 1, 1)), LOWER)
-        with pytest.raises(ValueError):
-            solve_sweep_systems(col, "dre")
+            solve_sweep_systems(spec)
 
 
 class TestTriangularFactor:
-    @pytest.mark.parametrize("mode", [DARE_MODE, CARE_MODE])
+    @pytest.mark.parametrize("kind", list(COLUMNS))
     @pytest.mark.parametrize("t,p1,p2", [(7, 3, 1), (9, 2, 2), (6, 1, 3)])
-    def test_gram_is_dense_inverse(self, mode, t, p1, p2):
+    def test_gram_is_dense_inverse(self, kind, t, p1, p2):
         rng = np.random.default_rng(12)
-        if mode == DARE_MODE:
-            col = dare_col(rng, t, p1, p2)
-            M = dense_gram(BlockToeplitzSpec(col.blocks[1:], LOWER))
-        else:
-            col = care_col(rng, t, p1, p2)
-            M = dense_gram(col)
-        inv = solve_sweep_systems(col, mode)
+        col = COLUMNS[kind](rng, t, p1, p2)
+        M = dense_gram(col)
+        inv = solve_sweep_systems(col)
         assert inv.R.shape == M.shape
         assert np.array_equal(inv.R, np.triu(inv.R))
         Minv = np.linalg.inv(M)
