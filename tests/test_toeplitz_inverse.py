@@ -33,9 +33,34 @@ def dense_gram(spec):
     return np.eye(T.shape[0]) + T @ T.T
 
 
+class TestDareMode:
+    """The formula on a DARE sweep's inner (t - 1)-block column."""
+
+    def test_inverse_identity_action(self):
+        rng = np.random.default_rng(1)
+        for t, p1, p2 in ((2, 1, 1), (5, 2, 1), (9, 1, 3), (17, 2, 2), (33, 3, 2)):
+            col = inner_col(rng, t, p1, p2)
+            inv = solve_sweep_systems(col)
+            M = dense_gram(col)
+            V = rng.standard_normal((p1 * (t - 1), 3))
+            out = inv.apply_inverse(V)
+            assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
+
+    def test_quadratic_form_identity(self):
+        rng = np.random.default_rng(2)
+        col = inner_col(rng, 12, 2, 1)
+        inv = solve_sweep_systems(col)
+        M = dense_gram(col)
+        V = rng.standard_normal((2 * 11, 4))
+        xi = inv.apply(V)
+        lhs = xi.T @ xi
+        rhs = V.T @ np.linalg.solve(M, V)
+        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+
+
 class TestCareMode:
-    """The one formula on both sweeps' columns: a CARE column [Y; D] and a
-    DARE sweep's inner column."""
+    """The formula on a CARE column [Y; D]; the tests that take a parametrized
+    or inner column check the same body on a DARE sweep's column."""
 
     def test_scalar_t1_artifacts(self):
         # spec [[1]]: I + TT' = 2, no trailing system
@@ -62,27 +87,24 @@ class TestCareMode:
 
     def test_inverse_identity_action_full_system(self):
         rng = np.random.default_rng(4)
-        shapes = {care_col: ((1, 2, 1), (2, 1, 1), (8, 2, 2), (16, 1, 2), (33, 2, 1)),
-                  inner_col: ((2, 1, 1), (5, 2, 1), (9, 1, 3), (17, 2, 2), (33, 3, 2))}
-        for make, cases in shapes.items():
-            for t, p1, p2 in cases:
-                col = make(rng, t, p1, p2)
-                inv = solve_sweep_systems(col)
-                M = dense_gram(col)
-                V = rng.standard_normal((M.shape[0], 3))
-                out = inv.apply_inverse(V)
-                assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
+        for t, p1, p2 in ((1, 2, 1), (2, 1, 1), (8, 2, 2), (16, 1, 2), (33, 2, 1)):
+            col = care_col(rng, t, p1, p2)
+            inv = solve_sweep_systems(col)
+            M = dense_gram(col)
+            V = rng.standard_normal((p1 * t, 3))
+            out = inv.apply_inverse(V)
+            assert np.linalg.norm(M @ out - V) <= 1e-9 * np.linalg.norm(V)
 
     def test_quadratic_form_identity(self):
         rng = np.random.default_rng(5)
-        for col in (care_col(rng, 16, 2, 1), inner_col(rng, 17, 2, 1)):
-            inv = solve_sweep_systems(col)
-            M = dense_gram(col)
-            V = rng.standard_normal((M.shape[0], 5))
-            xi = inv.apply(V)
-            lhs = xi.T @ xi
-            rhs = V.T @ np.linalg.solve(M, V)
-            assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
+        col = care_col(rng, 16, 2, 1)
+        inv = solve_sweep_systems(col)
+        M = dense_gram(col)
+        V = rng.standard_normal((32, 5))
+        xi = inv.apply(V)
+        lhs = xi.T @ xi
+        rhs = V.T @ np.linalg.solve(M, V)
+        assert np.linalg.norm(lhs - rhs) <= 1e-9 * np.linalg.norm(rhs)
 
     def test_zero_input(self):
         rng = np.random.default_rng(3)
