@@ -8,7 +8,8 @@ iterate X_t together with a residual factor C_t satisfying
 residual(X_t) = C_t'C_t.  The outer loop accumulates corrections: each round
 solves the residual equation of the closed-loop matrix A - BB'X_acc (applied
 through a Sherman-Morrison-Woodbury update of the fixed shifted
-factorization), stacks the new factor, compresses, and decays the shift.
+factorization), truncates the new rows at tau * sigma_max of the accumulated
+factor, stacks the rest on it, compresses, and decays the shift.
 
 Each round's residual comes from that factor: ||C_k C_k'||_F / ||CC'||_F
 costs O(l^2 n).  It misses only the compression error, so the exact
@@ -25,8 +26,8 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dare import (LowRankFactor, RoundRecord, _krylov_blocks, _vb_stack,
-                   compress_factor)
+from .dare import (LowRankFactor, RoundRecord, _krylov_blocks, _truncate,
+                   _vb_stack, compress_factor)
 from .errors import (DimensionMismatch, NoConvergence, SingularClosedLoop,
                      SingularShift)
 from .linops import one_norm
@@ -182,7 +183,11 @@ def default_gamma0(A):
 
 def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
                    stop=1e-8, max_rounds=40):
-    """Incorporation loop: sweep, stack, compress, decay the shift.
+    """Incorporation loop: sweep, truncate, stack, compress, decay the shift.
+
+    From round 2 on, the sweep's rows are truncated alone at tau * ||S_acc[0]||
+    (S_acc's sigma_max) before they are stacked, so ||X - X_hat||_2 <=
+    2 tau^2 ||X||_2; ``residual_factor`` takes them untruncated.
 
     Converged means the exact ``nres_care`` is <= stop; each record's ``nres``
     is the value its stop test used, ``nres_factor`` the residual factor's.
@@ -214,8 +219,12 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
             gamma *= 1.5  # single retry with a nudged shift
             sys = cayley_transform(P, gamma, C_round, feedback)
         sweep = fta_care_sweep(sys, t_per_round)
-        S_acc = compress_factor(
-            LowRankFactor(np.vstack([S_acc, sweep.factor.S])), tau).S
+        rows = sweep.factor.S
+        if S_acc.shape[0]:  # compressed rows are sorted: row 0's norm is sigma_max
+            rows = _truncate(rows, tau, np.linalg.norm(S_acc[0]))
+        rows_in = S_acc.shape[0] + rows.shape[0]
+        if rows.shape[0]:
+            S_acc = compress_factor(LowRankFactor(np.vstack([S_acc, rows])), tau).S
         C_round = residual_factor(sys, sweep, C_round)
         nres_factor = _cc_norm(C_round) / cc
         # the factor's norm misses the compression error: confirm exactly
@@ -223,7 +232,7 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
         ms = 1000.0 * (time.perf_counter() - tic)
         history.append(RoundRecord(rnd, t_per_round, gamma,
                                    nres_factor if exact is None else exact,
-                                   S_acc.shape[0], ms, nres_factor))
+                                   S_acc.shape[0], ms, nres_factor, rows_in))
         if exact is not None and exact <= stop:
             return CareSolveResult(LowRankFactor(S_acc), history, True)
         gamma /= shift_decay

@@ -112,6 +112,7 @@ class RoundRecord:
     rank: int
     ms: float
     nres_factor: float = None  # CARE only: ||C_k C_k'||_F / ||CC'||_F
+    rows_in: int = None  # rows of the stack the round compressed
 
 
 def _krylov_blocks(W0, rapply, count):
@@ -202,25 +203,32 @@ def fta_dare_arbitrary(P, Gamma, t):
     return LowRankFactor(np.vstack([base[2], _initial_term(P, base, Gamma, t)]))
 
 
-def compress_factor(factor, tau):
-    """Rank-truncated factor; discarded singular values are <= tau * sigma_max.
+def _truncate(S, tau, sigma_max=None):
+    """U_keep'S for S's singular values above tau * sigma_max (default: S's own).
 
     With S' = QR (R only; Q is never formed) and R' = U diag(sv) W', the
     kept rows U_keep'S = diag(sv) (QW)_keep' are mutually orthogonal with
-    norms sv.  The SVD is of the small square R', so the cost is one thin
-    QR and one GEMM against S instead of an SVD of the full stack.
+    norms sv, sorted.  The SVD is of the small square R', so the cost is one
+    thin QR and one GEMM against S instead of an SVD of the full stack.
     """
-    if not 0.0 <= tau < 1.0:
-        raise ValueError("tau must lie in [0, 1)")
-    S = factor.S
     if not np.all(np.isfinite(S)):
         raise StackBlowup("factor to compress has non-finite entries")
     if S.shape[0] == 0 or not np.any(S):
-        return LowRankFactor(np.zeros((0, S.shape[1])))
+        return np.zeros((0, S.shape[1]))
     R = qr_r(S.T)
     u, sv, _ = np.linalg.svd(R.T, full_matrices=False)
-    keep = sv > tau * sv[0] if tau > 0 else sv > 0
-    return LowRankFactor(u[:, keep].T @ S)
+    keep = sv > tau * (sv[0] if sigma_max is None else sigma_max)
+    return u[:, keep].T @ S
+
+
+def compress_factor(factor, tau):
+    """Rank-truncated factor; discarded singular values are <= tau * sigma_max.
+
+    ``_truncate`` at the stack's own sigma_max: row 0's norm is sigma_max.
+    """
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("tau must lie in [0, 1)")
+    return LowRankFactor(_truncate(factor.S, tau))
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
@@ -243,7 +251,8 @@ def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
         factor = compress_factor(LowRankFactor(raw), tau)
         rep = nres_dare(factor, P)
         ms = 1000.0 * (time.perf_counter() - tic)
-        history.append(RoundRecord(rnd, t_per_restart, 0.0, rep.nres, factor.r, ms))
+        history.append(RoundRecord(rnd, t_per_restart, 0.0, rep.nres, factor.r, ms,
+                                   rows_in=raw.shape[0]))
         if rep.nres <= stop:
             return factor, history
     raise NoConvergence(

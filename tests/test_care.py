@@ -5,6 +5,7 @@ import pytest
 import scipy.linalg
 import scipy.sparse
 
+from fftriccati import care
 from fftriccati.care import (cayley_transform, default_gamma0, fta_care_solve,
                              fta_care_sweep, residual_factor)
 from fftriccati.dare import LowRankFactor, RiccatiProblem
@@ -261,6 +262,17 @@ class TestSolve:
                                 t_per_round=16, stop=1e-8)
         assert result.converged
 
+    def test_laplacian_3000_keeps_rounds_rank_and_residual(self):
+        # care-lap10k's settings at n = 3000.  The values are those of one
+        # compression of the full stack per round, the loop's single-truncation
+        # reference: cutting the sweep rows first must not move them
+        P = laplacian_problem(3000, 4, 4)
+        result = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6)
+        assert result.converged
+        assert (len(result.history), result.factor.r) == (15, 141)
+        assert nres_care(result.factor, P).nres \
+            == pytest.approx(9.679939973909288e-7, rel=1e-3)
+
     def test_result_unpacks_as_pair(self):
         factor, history = fta_care_solve(scalar_problem(), gamma0=1.0,
                                          t_per_round=8, stop=1e-10)
@@ -326,7 +338,7 @@ class TestStopTest:
         assert gaps[1] > 1e3 * gaps[0]
 
     def test_exact_check_above_stop_continues(self):
-        # compressed at tau = 1e-3, round 7 has cheap 4.02e-5 < exact 4.12e-5;
+        # compressed at tau = 1e-3, round 7 has cheap 4.02e-5 < exact 4.11e-5;
         # a stop between them must be rejected by the exact value
         P = laplacian_problem(100, 1, 1)
         first = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-3,
@@ -345,6 +357,37 @@ class TestStopTest:
         last = result.history[-1]
         assert result.converged
         assert abs(last.nres - last.nres_factor) <= 1e-3 * last.nres
+
+    def test_rows_in_counts_truncated_sweep_rows(self):
+        # round 1 compresses the sweep alone; later rounds stack only the
+        # sweep rows above tau * sigma_max of the accumulated factor
+        P = laplacian_problem(200, 2, 2)
+        history = fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8).history
+        assert history[0].rows_in == 16 * 2
+        for prev, rec in zip(history, history[1:]):
+            assert prev.rank <= rec.rows_in < prev.rank + 16 * 2
+
+    def test_sweep_below_floor_leaves_factor_uncompressed(self, monkeypatch):
+        # scalar A = -1 at gamma = 1 (Atilde = 0): by round 3 the residual
+        # factor is about 1e-18, so its sweep rows lie far below tau * sigma_max
+        calls = []
+        original = care.compress_factor
+
+        def counted(factor, tau):
+            calls.append(factor.r)
+            return original(factor, tau)
+
+        monkeypatch.setattr(care, "compress_factor", counted)
+        factors = []
+        for rounds in (2, 3):
+            with pytest.raises(NoConvergence) as exc:
+                fta_care_solve(scalar_problem(), gamma0=1.0, t_per_round=8,
+                               stop=0.0, max_rounds=rounds)
+            factors.append(exc.value.factor.S)
+        last = exc.value.history[-1]
+        assert last.rows_in == last.rank == 1
+        assert calls == [8, 2, 8, 2]
+        assert np.array_equal(factors[0], factors[1])
 
     def test_capped_run_reports_exact_residual(self):
         P = laplacian_problem(200, 2, 2)

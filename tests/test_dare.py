@@ -18,6 +18,15 @@ from fftriccati.residuals import nres_dare
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 
 
+def graded_stack(rows, cols, seed):
+    """rows x cols matrix with singular values 1 ... 1e-14 and random vectors."""
+    rng = np.random.default_rng(seed)
+    k = min(rows, cols)
+    U, _ = np.linalg.qr(rng.standard_normal((rows, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((cols, k)))
+    return (U * np.logspace(0, -14, k)) @ V.T
+
+
 def scalar_problem(a=1.0, b=1.0, c=1.0):
     return RiccatiProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
 
@@ -200,12 +209,7 @@ class TestCompress:
 
     @pytest.mark.parametrize("rows, cols", [(400, 3000), (120, 50)])
     def test_graded_stack(self, rows, cols):
-        # singular values from 1 down to 1e-14, random singular vectors
-        rng = np.random.default_rng(rows + cols)
-        k = min(rows, cols)
-        U, _ = np.linalg.qr(rng.standard_normal((rows, k)))
-        V, _ = np.linalg.qr(rng.standard_normal((cols, k)))
-        S = LowRankFactor((U * np.logspace(0, -14, k)) @ V.T)
+        S = LowRankFactor(graded_stack(rows, cols, rows + cols))
         tau = 1e-12
         out = compress_factor(S, tau)
 
@@ -223,6 +227,37 @@ class TestCompress:
         S[1, 2] = bad
         with pytest.raises(StackBlowup):
             compress_factor(LowRankFactor(S), 1e-12)
+
+    def test_rows_sorted_with_sigma_max_first(self):
+        # the CARE loop reads sigma_max of its factor off row 0
+        S = LowRankFactor(graded_stack(188, 600, 3))
+        out = compress_factor(S, 1e-12)
+        norms = np.linalg.norm(out.S, axis=1)
+        assert np.all(np.diff(norms) <= 0.0)
+        sigma_max = np.linalg.svd(S.S, compute_uv=False)[0]
+        assert abs(norms[0] - sigma_max) <= 1e-13 * sigma_max
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-6])
+    def test_two_stage_truncation_bound(self, tau):
+        # accumulated rows from one compression, then 128 new rows truncated on
+        # their own at tau * ||S_acc[0]|| before the stack is compressed again
+        M = graded_stack(60 + 128, 600, 4)
+        S_acc = compress_factor(LowRankFactor(M[:60]), tau).S
+        new = M[60:]
+        kept = dare._truncate(new, tau, np.linalg.norm(S_acc[0]))
+        assert kept.shape[0] < new.shape[0]
+        out = compress_factor(LowRankFactor(np.vstack([S_acc, kept])), tau)
+
+        X = S_acc.T @ S_acc + new.T @ new
+        assert np.linalg.norm(X - out.gram(), 2) <= 2.0 * tau ** 2 * np.linalg.norm(X, 2)
+        one_shot = compress_factor(LowRankFactor(np.vstack([S_acc, new])), tau)
+        assert out.r == one_shot.r
+
+    def test_rows_below_floor_truncate_to_empty_block(self):
+        rng = np.random.default_rng(5)
+        new = 1e-14 * rng.standard_normal((128, 300))
+        kept = dare._truncate(new, 1e-12, 1.0)
+        assert kept.shape == (0, 300)
 
 
 class TestSolve:
@@ -286,6 +321,16 @@ class TestSolve:
         # nres recomputable from the returned factor
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
         assert abs(history[-1].nres - nres_dare(factor, P).nres) <= 1e-12
+
+
+    def test_rows_in_is_base_rows_plus_previous_rank(self):
+        A, B, C = random_dare_instance(8, 32, 2, 2)
+        _, history = fta_dare_solve(RiccatiProblem(A, B, C), t_per_restart=8,
+                                    stop=1e-10, max_restarts=6)
+        assert len(history) >= 4
+        assert history[0].rows_in == 8 * 2  # the sweep's t * l base rows
+        for prev, rec in zip(history, history[1:]):
+            assert rec.rows_in == 8 * 2 + prev.rank
 
 
 class TestSolveBuildsSweepOnce:
