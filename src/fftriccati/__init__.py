@@ -9,16 +9,13 @@ from .errors import (BreakdownNonSpd, DimensionMismatch, FftRiccatiError,
                      NoConvergence, NotPositiveDefinite, ParseError, PcgFailure,
                      SingularClosedLoop, SingularIterate, SingularPreconditioner,
                      SingularShift, StackBlowup, ZeroRhs)
-from .oracles import (care_ground_truth, dare_ground_truth, displacement_rank,
-                      dre_dense, gs_reconstruct, min_eig_difference,
-                      radi_delta_check, random_care_instance,
-                      random_dare_instance, sda_dense)
-from .pcg import (BlockCirculantPreconditioner, GramOperator, PcgConfig,
-                  pcg_solve)
+from .oracles import (care_ground_truth, dare_ground_truth, dre_dense,
+                      min_eig_difference, radi_delta_check,
+                      random_care_instance, random_dare_instance, sda_dense)
+from .pcg import BlockCirculantPreconditioner, GramOperator, pcg_solve
 from .residuals import ResidualReport, nres_care, nres_dare
 from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
                        bt_apply_transpose, densify)
-from .toeplitz_inverse import (StructuredInverse, SweepArtifacts,
-                               solve_sweep_systems)
+from .toeplitz_inverse import StructuredInverse, solve_sweep_systems
 
 __version__ = "0.1.0"

@@ -26,10 +26,9 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dare import (LowRankFactor, RoundRecord, _krylov_blocks, _truncate,
-                   _vb_stack, compress_factor)
-from .errors import (DimensionMismatch, NoConvergence, SingularClosedLoop,
-                     SingularShift)
+from .dare import (LowRankFactor, RoundRecord, _krylov_stack, _truncate,
+                   compress_factor)
+from .errors import NoConvergence, SingularClosedLoop, SingularShift
 from .linops import one_norm
 from .residuals import _cc_norm, nres_care
 from .toeplitz import LOWER, BlockToeplitzSpec
@@ -145,22 +144,17 @@ class CareSweep:
 
 def fta_care_sweep(sys, t):
     """One structured sweep: factor of the Cayley-DRE iterate X_t."""
-    if t < 1:
-        raise DimensionMismatch("t must be >= 1")
+    stack = _krylov_stack(sys.Ctilde, sys.atilde_rapply, sys.Btilde, t)
     l, m = sys.Ctilde.shape[0], sys.Btilde.shape[1]
-    blocks = list(_krylov_blocks(sys.Ctilde, sys.atilde_rapply, t - 1))
-    Vt = np.vstack(blocks)
-    col = np.vstack([sys.Ygamma, _vb_stack(blocks, sys.Btilde)]).reshape(t, l, m)
+    col = np.vstack([sys.Ygamma, stack.VB]).reshape(t, l, m)
     inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER))
-    return CareSweep(LowRankFactor(inv.apply(Vt)), inv)
+    return CareSweep(LowRankFactor(inv.apply(stack.Vt)), inv)
 
 
 def residual_factor(sys, sweep, C_in):
     """C_t with residual(X_t) = C_t'C_t, via the structured-inverse contraction."""
     C_in = np.atleast_2d(np.asarray(C_in, dtype=float))
     l = C_in.shape[0]
-    if sweep is None:
-        return C_in.copy()
     ones = np.tile(np.eye(l), (sweep.inv.t, 1))
     xi = sweep.inv.apply(ones)
     return C_in + np.sqrt(2.0 * sys.gamma) * (xi.T @ sweep.factor.S)

@@ -2,8 +2,7 @@
 
 Everything here uses pivoted dense factorizations only and shares no code
 with the structured solver paths, so agreement between the two is a real
-cross-check rather than a tautology.  The displacement-rank checks at the
-bottom read block-Toeplitz specs through the dense ``densify``.
+cross-check rather than a tautology.
 """
 
 from dataclasses import dataclass
@@ -14,7 +13,6 @@ import scipy.linalg
 from .errors import (DimensionMismatch, SingularClosedLoop, SingularIterate,
                      SingularShift)
 from .linops import to_dense
-from .toeplitz import LOWER, UPPER, BlockToeplitzSpec, densify
 
 _DENSE_GUARD = 256
 
@@ -196,48 +194,3 @@ def min_eig_difference(S1, S2):
     if Q.shape[1] < n:
         smallest = min(smallest, 0.0)
     return smallest
-
-
-# ---------------------------------------------------------------------------
-# displacement-rank utilities for the structured-inverse factors
-
-PLUS = "plus"
-MINUS = "minus"
-
-
-def displacement_residue(R, p, sign):
-    R = np.asarray(R, dtype=float)
-    n = R.shape[0]
-    if R.ndim != 2 or R.shape[1] != n or n % p:
-        raise DimensionMismatch("R must be square with order divisible by p")
-    res = R.copy()
-    if sign == PLUS:  # R - Z R Z'
-        res[p:, p:] -= R[:-p, :-p]
-    elif sign == MINUS:  # R - Z' R Z
-        res[:-p, :-p] -= R[p:, p:]
-    else:
-        raise ValueError("sign must be 'plus' or 'minus'")
-    return res
-
-
-def displacement_rank(R, p, sign):
-    """Block displacement count: ceil(numerical rank of the residue / p)."""
-    res = displacement_residue(R, p, sign)
-    sv = np.linalg.svd(res, compute_uv=False)
-    if sv.size == 0 or sv[0] == 0.0:
-        return 0
-    rank = int(np.sum(sv > 1e-10 * sv[0]))
-    return -(-rank // p)
-
-
-def gs_reconstruct(R1, R2, sign):
-    """Dense Gohberg-Semencul product of two generator columns."""
-    R1 = np.asarray(R1, dtype=float)
-    R2 = np.asarray(R2, dtype=float)
-    if R1.shape != R2.shape:
-        raise DimensionMismatch("generator shapes differ")
-    p = R1.shape[1]
-    t = R1.shape[0] // p
-    spec1 = BlockToeplitzSpec(R1.reshape(t, p, p), LOWER if sign == PLUS else UPPER)
-    spec2 = BlockToeplitzSpec(R2.reshape(t, p, p), LOWER if sign == PLUS else UPPER)
-    return densify(spec1) @ densify(spec2).T

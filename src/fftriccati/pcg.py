@@ -15,21 +15,6 @@ from .errors import BreakdownNonSpd, DimensionMismatch, SingularPreconditioner
 from .toeplitz import LOWER, bt_apply, bt_apply_transpose
 
 
-@dataclass
-class PcgConfig:
-    rel_tol: float = 1e-12
-    max_iter: int | None = None  # default 10*sqrt(dim) + 100 at solve time
-    preconditioner: str = "auto"  # auto | identity | block_circulant
-
-    def __post_init__(self):
-        if not 0.0 < self.rel_tol < 1.0:
-            raise ValueError("rel_tol must lie in (0, 1)")
-        if self.max_iter is not None and self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.preconditioner not in ("auto", "identity", "block_circulant"):
-            raise ValueError("unknown preconditioner %r" % self.preconditioner)
-
-
 class GramOperator:
     """v -> v + L (L' v) for a lower block-Toeplitz spec L."""
 
@@ -102,9 +87,9 @@ class BlockCirculantPreconditioner:
         return out.reshape(X.shape)
 
 
-def choose_preconditioner(L_col, cfg):
-    """Config-driven choice with the documented fallbacks."""
-    if cfg.preconditioner == "identity" or (cfg.preconditioner == "auto" and L_col.t < 16):
+def choose_preconditioner(L_col):
+    """Block circulant from 16 blocks on; identity below, or if it is singular."""
+    if L_col.t < 16:
         return IdentityPreconditioner()
     try:
         return BlockCirculantPreconditioner(L_col)
@@ -124,22 +109,26 @@ class PcgResult:
         return bool(np.all(self.converged))
 
 
-def pcg_solve(op, precond, RHS, cfg=None):
+def pcg_solve(op, precond, RHS, *, rel_tol=1e-12, max_iter=None):
     """Solve op(x) = b column by column with classic preconditioned CG.
 
     Stops a column once the *recomputed* true residual satisfies
     ||op(x) - b|| <= rel_tol ||b||; the recurrence residual is additionally
     refreshed every 25 iterations to guard drift.  Hitting the iteration cap
-    is soft: the best iterate is kept and flagged unconverged.
+    is soft: the best iterate is kept and flagged unconverged.  max_iter
+    defaults to 10 sqrt(dim) + 100.
     """
-    cfg = cfg or PcgConfig()
+    if not 0.0 < rel_tol < 1.0:
+        raise ValueError("rel_tol must lie in (0, 1)")
+    if max_iter is not None and max_iter < 1:
+        raise ValueError("max_iter must be >= 1")
     RHS = np.asarray(RHS, dtype=float)
     if RHS.ndim == 1:
         RHS = RHS[:, None]
     if RHS.shape[0] != op.dim:
         raise DimensionMismatch(
             "RHS has %d rows, operator dimension is %d" % (RHS.shape[0], op.dim))
-    max_iter = cfg.max_iter or int(10 * np.sqrt(op.dim) + 100)
+    max_iter = max_iter or int(10 * np.sqrt(op.dim) + 100)
 
     q = RHS.shape[1]
     X = np.zeros_like(RHS)
@@ -183,10 +172,10 @@ def pcg_solve(op, precond, RHS, cfg=None):
                     strikes = 0
                 last_true = min(last_true, true_norm)
             rnorm = np.linalg.norm(r)
-            if rnorm <= cfg.rel_tol * bnorm:
+            if rnorm <= rel_tol * bnorm:
                 r = b - op.apply(x)
                 rnorm = np.linalg.norm(r)
-                if rnorm <= cfg.rel_tol * bnorm:
+                if rnorm <= rel_tol * bnorm:
                     converged = True
                     break
             z = precond.solve(r)
@@ -197,5 +186,5 @@ def pcg_solve(op, precond, RHS, cfg=None):
         X[:, j:j + 1] = x
         iters[j] = it
         rels[j] = np.linalg.norm(b - op.apply(x)) / bnorm
-        ok[j] = converged or rels[j] <= cfg.rel_tol
+        ok[j] = converged or rels[j] <= rel_tol
     return PcgResult(X, iters, rels, ok)

@@ -12,8 +12,7 @@ the bottom block sits on the diagonal::
     toepU(col)[i, j] = col[t - 1 - (j - i)]   (j >= i)
 
 Products with tall block matrices are block linear convolutions and are
-evaluated with zero-padded FFTs of power-of-two length; a dense fallback is
-used for very small t where transform overhead dominates.
+evaluated with zero-padded FFTs of power-of-two length, for every t.
 """
 
 from dataclasses import dataclass
@@ -25,7 +24,6 @@ from .errors import DimensionMismatch
 LOWER = "lower"
 UPPER = "upper"
 
-_DENSE_FALLBACK_T = 4
 _CHUNK_BUDGET = 1 << 22  # complex workspace entries per FFT batch
 
 
@@ -83,12 +81,6 @@ def _conv_lower(col, Xb):
     """Truncated block convolution: out[k] = sum_{i<=k} col[i] @ Xb[k-i]."""
     t = col.shape[0]
     q = Xb.shape[2]
-    if t <= _DENSE_FALLBACK_T:
-        out = np.zeros((t, col.shape[1], q))
-        for k in range(t):
-            for i in range(k + 1):
-                out[k] += col[i] @ Xb[k - i]
-        return out
     length = next_pow2(2 * t - 1)
     fcol = np.fft.rfft(col, length, axis=0)
     nfreq = fcol.shape[0]

@@ -134,11 +134,6 @@ class TestSweep:
 
 
 class TestResidualFactor:
-    def test_no_sweep_returns_input(self):
-        C = np.array([[1.0, 2.0]])
-        sys = None
-        np.testing.assert_allclose(residual_factor(sys, None, C), C)
-
     def test_scalar_chain(self):
         sys = cayley_transform(scalar_problem(), 1.0)
         sweep = fta_care_sweep(sys, 1)

@@ -5,9 +5,8 @@ import pytest
 
 from fftriccati.errors import BreakdownNonSpd, DimensionMismatch
 from fftriccati.pcg import (BlockCirculantPreconditioner, GramOperator,
-                            IdentityPreconditioner, PcgConfig,
-                            TrailingGramOperator, choose_preconditioner,
-                            pcg_solve)
+                            IdentityPreconditioner, TrailingGramOperator,
+                            choose_preconditioner, pcg_solve)
 from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
 
 
@@ -20,25 +19,13 @@ class _DenseOp:
         return self.M @ X
 
 
-class TestConfig:
-    def test_defaults(self):
-        cfg = PcgConfig()
-        assert cfg.rel_tol == 1e-12
-        assert cfg.max_iter is None
-        assert cfg.preconditioner == "auto"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PcgConfig(rel_tol=0.0)
-        with pytest.raises(ValueError):
-            PcgConfig(rel_tol=2.0)
-        with pytest.raises(ValueError):
-            PcgConfig(max_iter=0)
-        with pytest.raises(ValueError):
-            PcgConfig(preconditioner="jacobi")
-
-
 class TestSolve:
+    def test_settings_validated(self):
+        op, b = _DenseOp(np.eye(2)), np.ones((2, 1))
+        for bad in (dict(rel_tol=0.0), dict(rel_tol=2.0), dict(max_iter=0)):
+            with pytest.raises(ValueError):
+                pcg_solve(op, IdentityPreconditioner(), b, **bad)
+
     def test_identity_operator_one_iteration(self):
         b = np.array([[3.0], [-1.0], [2.0]])
         res = pcg_solve(_DenseOp(np.eye(3)), IdentityPreconditioner(), b)
@@ -58,7 +45,7 @@ class TestSolve:
         assert op.dim == 48
         b = rng.standard_normal((48, 4))
         res = pcg_solve(op, IdentityPreconditioner(), b,
-                        PcgConfig(rel_tol=1e-13, max_iter=500))
+                        rel_tol=1e-13, max_iter=500)
         T = densify(spec)
         dense = np.linalg.solve(np.eye(48) + T @ T.T, b)
         assert np.linalg.norm(res.x - dense) <= 1e-10 * np.linalg.norm(dense)
@@ -69,7 +56,7 @@ class TestSolve:
         op = GramOperator(spec)  # dim 16, SPD
         b = rng.standard_normal((16, 1))
         res = pcg_solve(op, IdentityPreconditioner(), b,
-                        PcgConfig(rel_tol=1e-13, max_iter=64))
+                        rel_tol=1e-13, max_iter=64)
         assert res.all_converged
         assert res.iterations.max() <= 2 * op.dim
 
@@ -85,7 +72,7 @@ class TestSolve:
         op = _DenseOp(np.eye(10) + M @ M.T)
         b = rng.standard_normal((10, 2))
         res = pcg_solve(op, IdentityPreconditioner(), b,
-                        PcgConfig(rel_tol=1e-10, max_iter=200))
+                        rel_tol=1e-10, max_iter=200)
         for j in range(2):
             rel = np.linalg.norm(b[:, j:j + 1] - op.apply(res.x[:, j:j + 1])) \
                 / np.linalg.norm(b[:, j:j + 1])
@@ -111,7 +98,7 @@ class TestSolve:
         op = _DenseOp(np.eye(30) + M @ M.T)
         b = rng.standard_normal((30, 1))
         res = pcg_solve(op, IdentityPreconditioner(), b,
-                        PcgConfig(rel_tol=1e-13, max_iter=2))
+                        rel_tol=1e-13, max_iter=2)
         assert not res.all_converged
         assert np.all(np.isfinite(res.x))
 
@@ -151,7 +138,7 @@ class TestPreconditioner:
         pre = BlockCirculantPreconditioner(spec)
         rng = np.random.default_rng(6)
         b = rng.standard_normal((16, 1))
-        res = pcg_solve(GramOperator(spec), pre, b, PcgConfig(rel_tol=1e-12))
+        res = pcg_solve(GramOperator(spec), pre, b, rel_tol=1e-12)
         assert res.iterations.max() <= 2
 
     def test_spd_application(self):
@@ -171,23 +158,18 @@ class TestPreconditioner:
             spec = BlockToeplitzSpec(rng.standard_normal((32, 1, 1)) * decay,
                                      LOWER)
             b = rng.standard_normal((32, 1))
-            cfg = PcgConfig(rel_tol=1e-10, max_iter=400)
-            plain = pcg_solve(GramOperator(spec), IdentityPreconditioner(), b, cfg)
+            plain = pcg_solve(GramOperator(spec), IdentityPreconditioner(), b,
+                              rel_tol=1e-10, max_iter=400)
             pre = BlockCirculantPreconditioner(spec)
-            fast = pcg_solve(GramOperator(spec), pre, b, cfg)
+            fast = pcg_solve(GramOperator(spec), pre, b, rel_tol=1e-10, max_iter=400)
             assert fast.all_converged
             if fast.iterations.max() <= plain.iterations.max():
                 wins += 1
         assert wins >= 45
 
-    def test_choose_respects_config_and_size(self):
+    def test_choose_by_size(self):
         rng = np.random.default_rng(8)
         small = BlockToeplitzSpec(rng.standard_normal((8, 1, 1)), LOWER)
         large = BlockToeplitzSpec(rng.standard_normal((32, 1, 1)), LOWER)
-        assert isinstance(choose_preconditioner(small, PcgConfig()),
-                          IdentityPreconditioner)
-        assert isinstance(choose_preconditioner(large, PcgConfig()),
-                          BlockCirculantPreconditioner)
-        assert isinstance(
-            choose_preconditioner(large, PcgConfig(preconditioner="identity")),
-            IdentityPreconditioner)
+        assert isinstance(choose_preconditioner(small), IdentityPreconditioner)
+        assert isinstance(choose_preconditioner(large), BlockCirculantPreconditioner)

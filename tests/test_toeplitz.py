@@ -81,7 +81,7 @@ class TestApply:
             bt_apply(spec, np.zeros((5, 1)))
 
     def test_large_t_uses_fft_path(self):
-        # above the dense fallback threshold; still matches densified product
+        # t = 33 pads to an FFT length of 128 (> 2t - 1); still matches the dense product
         rng = np.random.default_rng(5)
         spec = random_spec(rng, 33, 1, 2)
         X = rng.standard_normal((2 * 33, 2))

@@ -1,11 +1,12 @@
-"""No module of the package or the test suite imports a name it never uses."""
+"""No module of the package, the test suite or the demos imports a name it never uses."""
 
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-FILES = sorted(p for p in (ROOT / "src" / "fftriccati").glob("*.py")
-               if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+FILES = (sorted(p for p in (ROOT / "src" / "fftriccati").glob("*.py")
+                if p.name != "__init__.py") + sorted((ROOT / "tests").glob("*.py"))
+         + sorted((ROOT / "demos").glob("*.py")))
 
 
 def imported_names(tree):
