@@ -10,14 +10,14 @@ import time
 
 import numpy as np
 
-from fftriccati import LOWER, BlockToeplitzSpec, bt_apply, densify
+from fftriccati import BlockToeplitzSpec, bt_apply, densify
 
 
 def main():
     rng = np.random.default_rng(0)
 
     # A small example first: 4 block rows of 2x2 blocks.
-    spec = BlockToeplitzSpec(rng.standard_normal((4, 2, 2)), LOWER)
+    spec = BlockToeplitzSpec(rng.standard_normal((4, 2, 2)))
     X = rng.standard_normal((8, 1))
     dense = densify(spec) @ X
     fast = bt_apply(spec, X)
@@ -28,7 +28,7 @@ def main():
     # block multiplies; the FFT path costs O(t log t).
     print("\n%8s %12s %12s %10s" % ("t", "dense (s)", "fft (s)", "max err"))
     for t in (64, 256, 1024, 4096):
-        spec = BlockToeplitzSpec(rng.standard_normal((t, 2, 2)), LOWER)
+        spec = BlockToeplitzSpec(rng.standard_normal((t, 2, 2)))
         X = rng.standard_normal((2 * t, 4))
 
         tic = time.perf_counter()

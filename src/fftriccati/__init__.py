@@ -14,8 +14,7 @@ from .oracles import (care_ground_truth, dare_ground_truth, dre_dense,
                       random_care_instance, random_dare_instance, sda_dense)
 from .pcg import BlockCirculantPreconditioner, GramOperator, pcg_solve
 from .residuals import ResidualReport, nres_care, nres_dare
-from .toeplitz import (LOWER, UPPER, BlockToeplitzSpec, bt_apply,
-                       bt_apply_transpose, densify)
+from .toeplitz import BlockToeplitzSpec, bt_apply, bt_apply_transpose, densify
 from .toeplitz_inverse import StructuredInverse, solve_sweep_systems
 
 __version__ = "0.1.0"

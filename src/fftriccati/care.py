@@ -31,7 +31,7 @@ from .dare import (LowRankFactor, RoundRecord, _krylov_stack, _truncate,
 from .errors import NoConvergence, SingularClosedLoop, SingularShift
 from .linops import one_norm
 from .residuals import _cc_norm, nres_care
-from .toeplitz import LOWER, BlockToeplitzSpec
+from .toeplitz import BlockToeplitzSpec
 from .toeplitz_inverse import solve_sweep_systems
 
 
@@ -147,7 +147,7 @@ def fta_care_sweep(sys, t):
     stack = _krylov_stack(sys.Ctilde, sys.atilde_rapply, sys.Btilde, t)
     l, m = sys.Ctilde.shape[0], sys.Btilde.shape[1]
     col = np.vstack([sys.Ygamma, stack.VB]).reshape(t, l, m)
-    inv = solve_sweep_systems(BlockToeplitzSpec(col, LOWER))
+    inv = solve_sweep_systems(BlockToeplitzSpec(col))
     return CareSweep(LowRankFactor(inv.apply(stack.Vt)), inv)
 
 

@@ -2,7 +2,8 @@
 
 A run reads a JSON config (flags override individual keys), executes the
 configured DARE/CARE solve, and writes three files into the output
-directory: ``factor.mtx`` (the final low-rank factor, array format),
+directory: ``factor.mtx`` (the final low-rank factor S, array format, with
+X ~ S'S; a run without factor rows writes one zero row of length n),
 ``summary.json`` and ``trace.csv`` with one row per outer round.
 
 Exit codes: 0 converged, 1 input error, 2 no convergence, 3 numerical
@@ -41,6 +42,15 @@ _DEFAULTS = {
     "out_dir": ".",
 }
 
+# (key, accepted types, description); bool is rejected although it is an int
+_NUMBER = (int, float)
+_TYPES = [("t", int, "an integer"), ("max_rounds", int, "an integer"),
+          ("gamma0", _NUMBER + (type(None),), "a number or null"),
+          ("shift_decay", _NUMBER, "a number"), ("tau", _NUMBER, "a number"),
+          ("stop_tol", _NUMBER, "a number"), ("a", str, "a string"),
+          ("b", str, "a string"), ("c", str, "a string"),
+          ("out_dir", str, "a string")]
+
 
 def _read_matrix(path, what):
     try:
@@ -64,6 +74,9 @@ def load_config(args):
         except json.JSONDecodeError as exc:
             raise ParseError("config %s: line %d column %d: %s"
                              % (args.config, exc.lineno, exc.colno, exc.msg)) from exc
+        if not isinstance(user, dict):
+            raise ParseError("config %s must be a JSON object, got %s"
+                             % (args.config, type(user).__name__))
         unknown = set(user) - set(cfg)
         if unknown:
             raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
@@ -77,6 +90,10 @@ def load_config(args):
     for key in ("a", "b", "c"):
         if not cfg[key]:
             raise ParseError("missing input path %r" % key)
+    for key, kinds, what in _TYPES:
+        val = cfg[key]
+        if isinstance(val, bool) or not isinstance(val, kinds):
+            raise ParseError("%s must be %s, got %s" % (key, what, json.dumps(val)))
     return cfg
 
 
@@ -95,10 +112,12 @@ def load_problem(cfg):
     return RiccatiProblem(A, B, C)
 
 
-def _write_outputs(out_dir, equation, factor, history, converged, total_ms, note=""):
+def _write_outputs(out_dir, equation, n, factor, history, converged, total_ms,
+                   note=""):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    S = factor.S if factor is not None and factor.S.size else np.zeros((1, 1))
+    # one zero row keeps S'S n x n; mmwrite of a 0 x n array is not safe
+    S = factor.S if factor is not None and factor.S.size else np.zeros((1, n))
     scipy.io.mmwrite(out / "factor.mtx", S)
     with open(out / "trace.csv", "w") as fh:
         fh.write("round,t,gamma,nres,rank,ms\n")
@@ -147,8 +166,8 @@ def run(cfg):
         factor, history, converged, failure_code = None, [], False, 3
         note = "%s: %s" % (type(exc).__name__, exc)
     total_ms = 1000.0 * (time.perf_counter() - tic)
-    _write_outputs(cfg["out_dir"], cfg["equation"], factor, history, converged,
-                   total_ms, note)
+    _write_outputs(cfg["out_dir"], cfg["equation"], problem.n, factor, history,
+                   converged, total_ms, note)
     return 0 if converged else failure_code
 
 

@@ -27,7 +27,7 @@ import scipy.sparse
 from .errors import (DimensionMismatch, NoConvergence, NotPositiveDefinite,
                      StackBlowup)
 from .linops import qr_r, rowmul
-from .toeplitz import LOWER, BlockToeplitzSpec, bt_apply
+from .toeplitz import BlockToeplitzSpec, bt_apply
 from .toeplitz_inverse import solve_sweep_systems
 
 _BLOWUP_LIMIT = 1e150
@@ -160,7 +160,7 @@ def _sweep_base(P, t):
     stack = build_krylov_stack(P, t)
     if t == 1:
         return None, None, P.C.copy()
-    T = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m), LOWER)
+    T = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m))
     inv = solve_sweep_systems(T)
     return T, inv, np.vstack([P.C, inv.apply(stack.Vt[P.l:])])
 

@@ -12,15 +12,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BreakdownNonSpd, DimensionMismatch, SingularPreconditioner
-from .toeplitz import LOWER, bt_apply, bt_apply_transpose
+from .toeplitz import bt_apply, bt_apply_transpose
 
 
 class GramOperator:
-    """v -> v + L (L' v) for a lower block-Toeplitz spec L."""
+    """v -> v + L (L' v) for L = toepL(col)."""
 
     def __init__(self, L_col):
-        if L_col.orientation != LOWER:
-            raise DimensionMismatch("GramOperator expects a lower spec")
         self.spec = L_col
         self.dim = L_col.p1 * L_col.t
 
@@ -54,7 +52,7 @@ class IdentityPreconditioner:
 
 
 class BlockCirculantPreconditioner:
-    """Inverse of I + C C^H for the circulant completion C of a lower spec.
+    """Inverse of I + C C^H for the circulant completion C of toepL(col).
 
     C is the block circulant generated by the defining column; the block DFT
     diagonalizes it, so application is one FFT pass plus t small Hermitian
@@ -62,8 +60,6 @@ class BlockCirculantPreconditioner:
     """
 
     def __init__(self, L_col):
-        if L_col.orientation != LOWER:
-            raise DimensionMismatch("preconditioner expects a lower spec")
         t, p = L_col.t, L_col.p1
         self.t, self.p = t, p
         chat = np.fft.fft(L_col.blocks, axis=0)  # (t, p1, p2) complex

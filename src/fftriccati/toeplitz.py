@@ -1,18 +1,13 @@
-"""Block-Toeplitz representations and FFT-accelerated application.
+"""Lower block-Toeplitz matrices and their FFT-accelerated products.
 
-A lower (upper) triangular block-Toeplitz matrix is stored by its defining
-block column ``A_0 .. A_{t-1}`` of p1 x p2 blocks.  For the lower orientation
-the defining column is the first block column::
+A spec is the first block column ``A_0 .. A_{t-1}`` of p1 x p2 blocks::
 
     toepL(col)[i, j] = col[i - j]   (i >= j, block indices)
 
-For the upper orientation the defining column is the *last* block column, so
-the bottom block sits on the diagonal::
-
-    toepU(col)[i, j] = col[t - 1 - (j - i)]   (j >= i)
-
-Products with tall block matrices are block linear convolutions and are
-evaluated with zero-padded FFTs of power-of-two length, for every t.
+The transpose is applied as J toepL(col') J, with J the block reversal and
+col' the column of transposed blocks.  Products with tall block matrices
+are block linear convolutions, evaluated with zero-padded FFTs of
+power-of-two length for every t.
 """
 
 from dataclasses import dataclass
@@ -21,21 +16,14 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-LOWER = "lower"
-UPPER = "upper"
-
 _CHUNK_BUDGET = 1 << 22  # complex workspace entries per FFT batch
 
 
 @dataclass(frozen=True)
 class BlockToeplitzSpec:
-    """Defining block column of a triangular block-Toeplitz matrix.
-
-    blocks has shape (t, p1, p2); orientation is LOWER or UPPER.
-    """
+    """toepL(blocks), the lower block-Toeplitz matrix of a (t, p1, p2) column."""
 
     blocks: np.ndarray
-    orientation: str = LOWER
 
     def __post_init__(self):
         blocks = np.ascontiguousarray(np.asarray(self.blocks, dtype=float))
@@ -44,8 +32,6 @@ class BlockToeplitzSpec:
                 "blocks must be a (t, p1, p2) array, got shape %r" % (blocks.shape,))
         if blocks.shape[0] < 1:
             raise DimensionMismatch("need t >= 1 blocks")
-        if self.orientation not in (LOWER, UPPER):
-            raise DimensionMismatch("orientation must be %r or %r" % (LOWER, UPPER))
         object.__setattr__(self, "blocks", blocks)
 
     @property
@@ -96,27 +82,17 @@ def _conv_lower(col, Xb):
 
 
 def bt_apply(spec, X):
-    """Multiply the represented matrix by a dense p2*t x q matrix."""
-    t = spec.t
-    Xb = _as_blocks(X, spec.p2, t)
-    if spec.orientation == LOWER:
-        out = _conv_lower(spec.blocks, Xb)
-    else:
-        # toepU(col) = J . toepL(reversed col) . J with J the block reversal
-        out = _conv_lower(spec.blocks[::-1], Xb[::-1])[::-1]
-    return out.reshape(spec.p1 * t, -1)
-
-
-def transpose_spec(spec):
-    """Spec of the transposed matrix: reversed, transposed blocks, flipped orientation."""
-    blocks = np.ascontiguousarray(spec.blocks[::-1].transpose(0, 2, 1))
-    flipped = UPPER if spec.orientation == LOWER else LOWER
-    return BlockToeplitzSpec(blocks, flipped)
+    """Multiply toepL(col) by a dense p2*t x q matrix."""
+    out = _conv_lower(spec.blocks, _as_blocks(X, spec.p2, spec.t))
+    return out.reshape(spec.p1 * spec.t, -1)
 
 
 def bt_apply_transpose(spec, X):
-    """Apply the transpose of the represented matrix to a p1*t x q matrix."""
-    return bt_apply(transpose_spec(spec), X)
+    """Multiply toepL(col)' = J toepL(col') J by a dense p1*t x q matrix."""
+    Xb = _as_blocks(X, spec.p1, spec.t)
+    # the contiguous copy fixes the FFT's memory layout, and with it the rounding
+    blocks_t = np.ascontiguousarray(spec.blocks.transpose(0, 2, 1))
+    return _conv_lower(blocks_t, Xb[::-1])[::-1].reshape(spec.p2 * spec.t, -1)
 
 
 def densify(spec):
@@ -124,14 +100,6 @@ def densify(spec):
     t, p1, p2 = spec.t, spec.p1, spec.p2
     out = np.zeros((p1 * t, p2 * t))
     for i in range(t):
-        for j in range(t):
-            if spec.orientation == LOWER:
-                k = i - j
-            else:
-                k = t - 1 - (j - i)
-                if j < i:
-                    continue
-            if spec.orientation == LOWER and k < 0:
-                continue
-            out[i * p1:(i + 1) * p1, j * p2:(j + 1) * p2] = spec.blocks[k]
+        for j in range(i + 1):
+            out[i * p1:(i + 1) * p1, j * p2:(j + 1) * p2] = spec.blocks[i - j]
     return out

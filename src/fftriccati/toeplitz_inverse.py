@@ -1,4 +1,4 @@
-"""Structured inverse of I + T T' for triangular block-Toeplitz T.
+"""Structured inverse of I + T T' for lower block-Toeplitz T = toepL(col).
 
 A pair of small Gram solves (the Q2/Q3 systems) gives two upper
 block-Toeplitz factors with
@@ -6,9 +6,10 @@ block-Toeplitz factors with
     (I + T T')^{-1} = U1 U1' + U2 U2',
 
 U1 = toepU(Q2 LQ^{-T}) and U2 = toepU([Q3; 0] LW^{-T}), where LQ and LW
-are the Cholesky factors of Q2's bottom block Q2b and of W~.  The
-inverse is carried as one dense upper-triangular R of order dim = t p1, the
-R of a QR of the stacked [U1'; U2'], so that R'R = (I + T T')^{-1}.
+are the Cholesky factors of Q2's bottom block Q2b and of W~.  Only the
+transposes are formed, as toepU(u)' = toepL(u reversed, blocks transposed).
+The inverse is carried as one dense upper-triangular R of order dim = t p1,
+the R of a QR of the stacked [U1'; U2'], so that R'R = (I + T T')^{-1}.
 Contracting a Krylov stack V with R gives dim rows Xi = R V with
 Xi'Xi = V'(I + T T')^{-1} V, one GEMM instead of two FFT products over all
 of V's columns.
@@ -33,8 +34,8 @@ import scipy.linalg
 from .errors import DimensionMismatch, NotPositiveDefinite, PcgFailure
 from .pcg import (GramOperator, TrailingGramOperator, choose_preconditioner,
                   pcg_solve)
-from .toeplitz import LOWER, UPPER, BlockToeplitzSpec, bt_apply_transpose
-from .toeplitz import bt_apply  # noqa: F401  (bound here for the layer tracer)
+from .toeplitz import BlockToeplitzSpec, bt_apply
+from .toeplitz import bt_apply_transpose  # noqa: F401  (bound here for the layer tracer)
 
 _REL_TOL = 1e-12
 
@@ -92,12 +93,10 @@ def _solve_spd(op, precond, rhs, kappa_bound):
 
 
 def solve_sweep_systems(T):
-    """Build the structured inverse of I + TT' for a lower spec T = toepL([Y; D]).
+    """Build the structured inverse of I + TT' for T = toepL([Y; D]).
 
     Q2 solves the full t-block system, Q3 the trailing-submatrix system.
     """
-    if T.orientation != LOWER:
-        raise DimensionMismatch("sweep systems expect a lower spec")
     t, p1, p2 = T.t, T.p1, T.p2
     blocks = T.blocks
     Y = blocks[0]
@@ -113,7 +112,7 @@ def solve_sweep_systems(T):
         Q3 = np.zeros((0, p2))
     else:
         trail = TrailingGramOperator(T)
-        trail_pc = choose_preconditioner(BlockToeplitzSpec(blocks[:-1], LOWER))
+        trail_pc = choose_preconditioner(BlockToeplitzSpec(blocks[:-1]))
         Q3 = _solve_spd(trail, trail_pc, rhs_q3, kappa)
     W = np.eye(p2) - Q3.T @ rhs_q3
     Wtilde = W + W @ Y.T @ Y @ W
@@ -125,6 +124,6 @@ def solve_sweep_systems(T):
     u2_blocks = (u2_col.reshape(t, p1, p2)) @ _lower_inv(LW).T
     eye = np.eye(p1 * t)
     R = np.linalg.qr(np.vstack([
-        bt_apply_transpose(BlockToeplitzSpec(u1_blocks, UPPER), eye),
-        bt_apply_transpose(BlockToeplitzSpec(u2_blocks, UPPER), eye)]), mode="r")
+        bt_apply(BlockToeplitzSpec(u[::-1].transpose(0, 2, 1)), eye)
+        for u in (u1_blocks, u2_blocks)]), mode="r")
     return StructuredInverse(t, p1, R)

@@ -14,7 +14,7 @@ from fftriccati.dare import RiccatiProblem, fta_dare_sweep
 from fftriccati.oracles import (dre_dense, min_eig_difference, radi_delta_check,
                                 random_care_instance, random_dare_instance,
                                 sda_dare_init, sda_dense)
-from fftriccati.toeplitz import (LOWER, BlockToeplitzSpec, bt_apply, densify)
+from fftriccati.toeplitz import BlockToeplitzSpec, bt_apply, densify
 from fftriccati.toeplitz_inverse import solve_sweep_systems
 
 
@@ -64,8 +64,8 @@ def test_criterion_03_structured_inverse_identity_action(capsys):
         p2 = int(rng.integers(1, 4))
         blocks = rng.standard_normal((t, p1, p2))
         # a DARE sweep's inner column and a CARE column [Y; D]
-        for spec in (BlockToeplitzSpec(blocks[1:], LOWER),
-                     BlockToeplitzSpec(blocks, LOWER)):
+        for spec in (BlockToeplitzSpec(blocks[1:]),
+                     BlockToeplitzSpec(blocks)):
             inv = solve_sweep_systems(spec)
             T = densify(spec)
             M = np.eye(T.shape[0]) + T @ T.T
@@ -208,7 +208,7 @@ def test_criterion_11_fft_matvec_randomized(capsys):
         t = int(rng.integers(1, 65))
         p1 = int(rng.integers(1, 4))
         p2 = int(rng.integers(1, 4))
-        spec = BlockToeplitzSpec(rng.standard_normal((t, p1, p2)), LOWER)
+        spec = BlockToeplitzSpec(rng.standard_normal((t, p1, p2)))
         X = rng.standard_normal((p2 * t, int(rng.integers(1, 4))))
         dense = densify(spec) @ X
         err = np.linalg.norm(bt_apply(spec, X) - dense) \

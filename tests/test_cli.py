@@ -11,13 +11,17 @@ from fftriccati.residuals import nres_care
 from fftriccati.dare import RiccatiProblem
 
 
-def write_scalar_care(tmp_path, a=-1.0, b=1.0, c=1.0):
+def write_matrices(tmp_path, a, b, c):
     paths = {}
     for name, val in (("a", a), ("b", b), ("c", c)):
         p = tmp_path / ("%s.mtx" % name)
-        scipy.io.mmwrite(p, np.array([[val]]))
+        scipy.io.mmwrite(p, np.atleast_2d(val))
         paths[name] = str(p)
     return paths
+
+
+def write_scalar_care(tmp_path, a=-1.0, b=1.0, c=1.0):
+    return write_matrices(tmp_path, a, b, c)
 
 
 def write_config(tmp_path, body, name="cfg.json"):
@@ -179,7 +183,9 @@ class TestRun:
 
 class TestNumericalFailure:
     def test_stack_blowup_exits_3_with_summary(self, tmp_path):
-        paths = write_scalar_care(tmp_path, a=1e10)  # (1e10)^16 trips the guard
+        # (1e10)^16 trips the guard; n = 2 shows the shape of the missing factor
+        paths = write_matrices(tmp_path, 1e10 * np.eye(2), np.ones((2, 1)),
+                               np.ones((1, 2)))
         out = tmp_path / "blowup"
         cfg = write_config(tmp_path, {
             "equation": "dare", "a": paths["a"], "b": paths["b"],
@@ -190,10 +196,14 @@ class TestNumericalFailure:
         assert "StackBlowup" in summary["note"]
         assert summary["rounds"] == 0
         assert summary["final_nres"] is None  # no round: no residual, not 0.0
+        S = np.asarray(scipy.io.mmread(out / "factor.mtx"))
+        np.testing.assert_array_equal(S, np.zeros((1, 2)))
 
     @pytest.mark.parametrize("equation", ["care", "dare"])
     def test_zero_rhs_converges_with_zero_nres(self, tmp_path, equation):
-        paths = write_scalar_care(tmp_path, c=0.0)
+        n = 3
+        paths = write_matrices(tmp_path, -0.5 * np.eye(n), np.ones((n, 1)),
+                               np.zeros((1, n)))
         out = tmp_path / "zero"
         cfg = write_config(tmp_path, {
             "equation": equation, "a": paths["a"], "b": paths["b"],
@@ -202,6 +212,9 @@ class TestNumericalFailure:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rounds"] == 0
         assert summary["final_nres"] == 0.0
+        # no factor rows: one zero row, so that S'S is the n x n zero matrix
+        S = np.asarray(scipy.io.mmread(out / "factor.mtx"))
+        np.testing.assert_array_equal(S, np.zeros((1, n)))
 
 
 class TestErrors:
@@ -248,6 +261,26 @@ class TestErrors:
             "c": paths["c"], "out_dir": str(tmp_path / "out")})
         assert main(["run", "--config", cfg]) == 1
         assert "A must be finite" in capsys.readouterr().err
+
+    def test_config_must_be_an_object(self, tmp_path, capsys):
+        cfg = write_config(tmp_path, [1, 2])
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "JSON object" in err[0]
+
+    @pytest.mark.parametrize("key,value", [
+        ("t", None), ("t", 2.7), ("t", "8"), ("max_rounds", True),
+        ("max_rounds", 3.0), ("gamma0", "1.5"), ("gamma0", True),
+        ("shift_decay", None), ("tau", [1e-12]), ("stop_tol", "1e-8"),
+        ("a", 5), ("c", {"path": "c.mtx"}), ("out_dir", None)])
+    def test_config_value_types_checked(self, tmp_path, capsys, key, value):
+        paths = write_scalar_care(tmp_path)
+        body = {"equation": "care", "out_dir": str(tmp_path / "out"), **paths}
+        body[key] = value
+        assert main(["run", "--config", write_config(tmp_path, body)]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: %s must be " % key)
+        assert not (tmp_path / "out").exists()
 
     def test_missing_equation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"a": "a.mtx", "b": "b.mtx", "c": "c.mtx"})

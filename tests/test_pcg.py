@@ -7,7 +7,7 @@ from fftriccati.errors import BreakdownNonSpd, DimensionMismatch
 from fftriccati.pcg import (BlockCirculantPreconditioner, GramOperator,
                             IdentityPreconditioner, TrailingGramOperator,
                             choose_preconditioner, pcg_solve)
-from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
+from fftriccati.toeplitz import BlockToeplitzSpec, densify
 
 
 class _DenseOp:
@@ -40,7 +40,7 @@ class TestSolve:
 
     def test_gram_system_matches_dense_solve(self):
         rng = np.random.default_rng(0)
-        spec = BlockToeplitzSpec(rng.standard_normal((16, 3, 2)), LOWER)
+        spec = BlockToeplitzSpec(rng.standard_normal((16, 3, 2)))
         op = GramOperator(spec)
         assert op.dim == 48
         b = rng.standard_normal((48, 4))
@@ -52,7 +52,7 @@ class TestSolve:
 
     def test_exact_termination_within_dimension(self):
         rng = np.random.default_rng(1)
-        spec = BlockToeplitzSpec(rng.standard_normal((8, 2, 2)), LOWER)
+        spec = BlockToeplitzSpec(rng.standard_normal((8, 2, 2)))
         op = GramOperator(spec)  # dim 16, SPD
         b = rng.standard_normal((16, 1))
         res = pcg_solve(op, IdentityPreconditioner(), b,
@@ -110,7 +110,7 @@ class TestSolve:
 class TestTrailingOperator:
     def test_matches_dense_principal_submatrix(self):
         rng = np.random.default_rng(5)
-        spec = BlockToeplitzSpec(rng.standard_normal((6, 2, 3)), LOWER)
+        spec = BlockToeplitzSpec(rng.standard_normal((6, 2, 3)))
         T = densify(spec)
         full = np.eye(12) + T @ T.T
         trail = TrailingGramOperator(spec)
@@ -120,12 +120,12 @@ class TestTrailingOperator:
 
     def test_needs_two_blocks(self):
         with pytest.raises(DimensionMismatch):
-            TrailingGramOperator(BlockToeplitzSpec(np.zeros((1, 2, 2)), LOWER))
+            TrailingGramOperator(BlockToeplitzSpec(np.zeros((1, 2, 2))))
 
 
 class TestPreconditioner:
     def test_zero_column_gives_identity_action(self):
-        spec = BlockToeplitzSpec(np.zeros((8, 2, 2)), LOWER)
+        spec = BlockToeplitzSpec(np.zeros((8, 2, 2)))
         pre = BlockCirculantPreconditioner(spec)
         X = np.arange(32.0).reshape(16, 2)
         np.testing.assert_allclose(pre.solve(X), X, atol=1e-12)
@@ -134,7 +134,7 @@ class TestPreconditioner:
         # scalar blocks [1,0,...]: the circulant completion equals the matrix
         blocks = np.zeros((16, 1, 1))
         blocks[0, 0, 0] = 1.0
-        spec = BlockToeplitzSpec(blocks, LOWER)
+        spec = BlockToeplitzSpec(blocks)
         pre = BlockCirculantPreconditioner(spec)
         rng = np.random.default_rng(6)
         b = rng.standard_normal((16, 1))
@@ -143,7 +143,7 @@ class TestPreconditioner:
 
     def test_spd_application(self):
         rng = np.random.default_rng(7)
-        spec = BlockToeplitzSpec(rng.standard_normal((8, 2, 2)), LOWER)
+        spec = BlockToeplitzSpec(rng.standard_normal((8, 2, 2)))
         pre = BlockCirculantPreconditioner(spec)
         P = pre.solve(np.eye(16))
         np.testing.assert_allclose(P, P.T, atol=1e-12)
@@ -155,8 +155,7 @@ class TestPreconditioner:
         decay = (0.6 ** np.arange(32))[:, None, None]
         for seed in range(50):
             rng = np.random.default_rng(seed)
-            spec = BlockToeplitzSpec(rng.standard_normal((32, 1, 1)) * decay,
-                                     LOWER)
+            spec = BlockToeplitzSpec(rng.standard_normal((32, 1, 1)) * decay)
             b = rng.standard_normal((32, 1))
             plain = pcg_solve(GramOperator(spec), IdentityPreconditioner(), b,
                               rel_tol=1e-10, max_iter=400)
@@ -169,7 +168,7 @@ class TestPreconditioner:
 
     def test_choose_by_size(self):
         rng = np.random.default_rng(8)
-        small = BlockToeplitzSpec(rng.standard_normal((8, 1, 1)), LOWER)
-        large = BlockToeplitzSpec(rng.standard_normal((32, 1, 1)), LOWER)
+        small = BlockToeplitzSpec(rng.standard_normal((8, 1, 1)))
+        large = BlockToeplitzSpec(rng.standard_normal((32, 1, 1)))
         assert isinstance(choose_preconditioner(small), IdentityPreconditioner)
         assert isinstance(choose_preconditioner(large), BlockCirculantPreconditioner)

@@ -3,24 +3,23 @@
 import numpy as np
 import pytest
 
-from fftriccati.errors import DimensionMismatch
-from fftriccati.toeplitz import LOWER, BlockToeplitzSpec, densify
+from fftriccati.toeplitz import BlockToeplitzSpec, densify
 from fftriccati.toeplitz_inverse import solve_sweep_systems
 
 
 def zero_corner_col(rng, t, p1, p2):
     col = rng.standard_normal((t, p1, p2))
     col[0] = 0.0  # strictly lower column: zero corner block
-    return BlockToeplitzSpec(col, LOWER)
+    return BlockToeplitzSpec(col)
 
 
 def inner_col(rng, t, p1, p2):
     """Inner column of a t-step DARE sweep: t - 1 blocks, nonzero diagonal."""
-    return BlockToeplitzSpec(rng.standard_normal((t, p1, p2))[1:], LOWER)
+    return BlockToeplitzSpec(rng.standard_normal((t, p1, p2))[1:])
 
 
 def care_col(rng, t, p1, p2):
-    return BlockToeplitzSpec(rng.standard_normal((t, p1, p2)), LOWER)
+    return BlockToeplitzSpec(rng.standard_normal((t, p1, p2)))
 
 
 # test ids name the sweep; a zero corner reduces the full system to the strict one
@@ -87,11 +86,6 @@ class TestCareMode:
         inv = solve_sweep_systems(inner_col(rng, 4, 2, 2))
         xi = inv.apply(np.zeros((6, 2)))
         assert np.linalg.norm(xi) == 0.0
-
-    def test_rejects_upper_spec(self):
-        spec = BlockToeplitzSpec(np.zeros((2, 1, 1)), "upper")
-        with pytest.raises(DimensionMismatch):
-            solve_sweep_systems(spec)
 
 
 class TestTriangularFactor:
