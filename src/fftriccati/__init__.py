@@ -7,8 +7,8 @@ from .dare import (KrylovStack, LowRankFactor, RiccatiProblem, RoundRecord,
                    fta_dare_solve, fta_dare_sweep)
 from .errors import (BreakdownNonSpd, DimensionMismatch, FftRiccatiError,
                      NoConvergence, NotPositiveDefinite, ParseError, PcgFailure,
-                     SingularClosedLoop, SingularIterate, SingularPreconditioner,
-                     SingularShift, StackBlowup, ZeroRhs)
+                     SingularIterate, SingularPreconditioner, SingularShift,
+                     StackBlowup, ZeroRhs)
 from .oracles import (care_ground_truth, dare_ground_truth, dre_dense,
                       min_eig_difference, radi_delta_check,
                       random_care_instance, random_dare_instance, sda_dense)

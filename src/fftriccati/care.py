@@ -28,8 +28,8 @@ import scipy.sparse.linalg
 
 from .dare import (LowRankFactor, RoundRecord, _krylov_stack, _truncate,
                    compress_factor)
-from .errors import NoConvergence, SingularClosedLoop, SingularShift
-from .linops import one_norm
+from .errors import NoConvergence, SingularShift
+from .linops import lu, one_norm
 from .residuals import _cc_norm, nres_care
 from .toeplitz import BlockToeplitzSpec
 from .toeplitz_inverse import solve_sweep_systems
@@ -40,37 +40,32 @@ class ShiftedSolver:
 
     The optional rank-m feedback term U V' is folded in with the
     Sherman-Morrison-Woodbury identity so closed-loop rounds reuse the base
-    factorization of A - gamma I.
+    factorization of A - gamma I; a zero V is skipped.  Any failure to factor
+    either part, or a non-finite solve, raises SingularShift.
     """
 
     def __init__(self, A, gamma, U=None, V=None):
         n = A.shape[0]
-        self.n = n
-        if scipy.sparse.issparse(A):
+        self._sparse = scipy.sparse.issparse(A)
+        if self._sparse:
             M = (A - gamma * scipy.sparse.identity(n, format="csr")).tocsc()
             try:
                 self._lu = scipy.sparse.linalg.splu(M)
             except RuntimeError as exc:
                 raise SingularShift("cannot factor A - gamma I") from exc
-            self._sparse = True
         else:
-            M = np.asarray(A, dtype=float) - gamma * np.eye(n)
-            lu, piv = scipy.linalg.lu_factor(M)
-            if np.min(np.abs(np.diag(lu))) <= 1e-14 * max(1.0, np.abs(M).max()):
-                raise SingularShift("A - gamma I is numerically singular")
-            self._lu = (lu, piv)
-            self._sparse = False
+            self._lu = lu(np.asarray(A, dtype=float) - gamma * np.eye(n),
+                          SingularShift, "A - gamma I")
         self._U = self._V = None
         if U is not None and U.size and V is not None and np.any(V):
             self._U = np.asarray(U, dtype=float)
             self._V = np.asarray(V, dtype=float)
             self._cor = self._base_solve(self._U)       # M^{-1} U
             self._cor_t = self._base_rsolve(self._V.T).T  # M^{-T} V
-            Sm = np.eye(U.shape[1]) - self._V.T @ self._cor
-            lu, piv = scipy.linalg.lu_factor(Sm)
-            if np.min(np.abs(np.diag(lu))) <= 1e-14 * max(1.0, np.abs(Sm).max()):
-                raise SingularClosedLoop("feedback capacitance matrix singular")
-            self._sm_lu = (lu, piv)
+            self._sm_lu = lu(np.eye(U.shape[1]) - self._V.T @ self._cor,
+                             SingularShift, "feedback capacitance matrix")
+        if not np.all(np.isfinite(self.solve(np.ones((n, 1))))):
+            raise SingularShift("shifted solve produced non-finite values")
 
     def _base_solve(self, X):
         if self._sparse:
@@ -98,12 +93,6 @@ class ShiftedSolver:
         corr = scipy.linalg.lu_solve(self._sm_lu, (Z @ self._U).T, trans=1).T
         return Z + corr @ self._cor_t.T
 
-    def check(self):
-        probe = np.ones((self.n, 1))
-        if not np.all(np.isfinite(self.solve(probe))):
-            raise SingularShift("shifted solve produced non-finite values")
-        return self
-
 
 @dataclass
 class CayleySystem:
@@ -128,7 +117,7 @@ def cayley_transform(P, gamma, C_current=None, feedback=None):
         raise ValueError("gamma must be positive")
     C_cur = P.C if C_current is None else np.atleast_2d(np.asarray(C_current, float))
     U, V = feedback if feedback is not None else (None, None)
-    solver = ShiftedSolver(P.A, gamma, U, V).check()
+    solver = ShiftedSolver(P.A, gamma, U, V)
     scale = np.sqrt(2.0 * gamma)
     tmp = solver.solve(P.B)
     CA = solver.rsolve(C_cur)
@@ -190,12 +179,12 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
         raise ValueError("shift_decay must be >= 1")
     if max_rounds < 1:
         raise ValueError("max_rounds must be >= 1")
+    if not stop >= 0:
+        raise ValueError("stop must be >= 0")
     if not np.any(P.C):
         return CareSolveResult(LowRankFactor(np.zeros((0, P.n))), [], True,
                                note="zero right-hand side (ZeroRhs)")
     gamma = float(gamma0) if gamma0 is not None else default_gamma0(P.A)
-    if gamma <= 0:
-        raise ValueError("gamma0 must be positive")
 
     S_acc = np.zeros((0, P.n))
     C_round = P.C.copy()
@@ -203,10 +192,7 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     history = []
     for rnd in range(1, max_rounds + 1):
         tic = time.perf_counter()
-        if S_acc.shape[0]:
-            feedback = (P.B, S_acc.T @ (S_acc @ P.B))
-        else:
-            feedback = None
+        feedback = (P.B, S_acc.T @ (S_acc @ P.B))  # zero in round 1
         try:
             sys = cayley_transform(P, gamma, C_round, feedback)
         except SingularShift:

@@ -28,28 +28,21 @@ from .dare import RiccatiProblem, fta_dare_solve
 from .errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
                      ParseError)
 
-_DEFAULTS = {
-    "equation": None,
-    "a": None,
-    "b": None,
-    "c": None,
-    "gamma0": None,
-    "shift_decay": 1.01,
-    "t": 32,
-    "tau": 1e-12,
-    "stop_tol": 1e-8,
-    "max_rounds": 40,
-    "out_dir": ".",
-}
-
-# (key, accepted types, description); bool is rejected although it is an int
 _NUMBER = (int, float)
-_TYPES = [("t", int, "an integer"), ("max_rounds", int, "an integer"),
-          ("gamma0", _NUMBER + (type(None),), "a number or null"),
-          ("shift_decay", _NUMBER, "a number"), ("tau", _NUMBER, "a number"),
-          ("stop_tol", _NUMBER, "a number"), ("a", str, "a string"),
-          ("b", str, "a string"), ("c", str, "a string"),
-          ("out_dir", str, "a string")]
+# key: (default, accepted types, description); bool is rejected although it is an int
+_KEYS = {
+    "equation": (None, str, "a string"),
+    "a": (None, str, "a string"),
+    "b": (None, str, "a string"),
+    "c": (None, str, "a string"),
+    "gamma0": (None, _NUMBER + (type(None),), "a number or null"),
+    "shift_decay": (1.01, _NUMBER, "a number"),
+    "t": (32, int, "an integer"),
+    "tau": (1e-12, _NUMBER, "a number"),
+    "stop_tol": (1e-8, _NUMBER, "a number"),
+    "max_rounds": (40, int, "an integer"),
+    "out_dir": (".", str, "a string"),
+}
 
 
 def _read_matrix(path, what):
@@ -64,7 +57,7 @@ def _read_matrix(path, what):
 
 
 def load_config(args):
-    cfg = dict(_DEFAULTS)
+    cfg = {key: default for key, (default, _, _) in _KEYS.items()}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -90,7 +83,7 @@ def load_config(args):
     for key in ("a", "b", "c"):
         if not cfg[key]:
             raise ParseError("missing input path %r" % key)
-    for key, kinds, what in _TYPES:
+    for key, (_, kinds, what) in _KEYS.items():
         val = cfg[key]
         if isinstance(val, bool) or not isinstance(val, kinds):
             raise ParseError("%s must be %s, got %s" % (key, what, json.dumps(val)))

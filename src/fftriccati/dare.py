@@ -24,9 +24,8 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
-from .errors import (DimensionMismatch, NoConvergence, NotPositiveDefinite,
-                     StackBlowup)
-from .linops import qr_r, rowmul
+from .errors import DimensionMismatch, NoConvergence, StackBlowup
+from .linops import chol, qr_r, rowmul
 from .toeplitz import BlockToeplitzSpec, bt_apply
 from .toeplitz_inverse import solve_sweep_systems
 
@@ -186,10 +185,7 @@ def _initial_term(P, base, Gamma, t):
         XiG = inv.apply(bt_apply(T, M))
 
     WG = np.eye(g) + sum(gbk @ gbk.T for gbk in gb) - XiG.T @ XiG
-    try:
-        LG = np.linalg.cholesky(0.5 * (WG + WG.T))
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("initial-term coupling matrix W_Gamma") from exc
+    LG = chol(WG, "initial-term coupling matrix W_Gamma")
     return scipy.linalg.solve_triangular(LG, GAt - XiG.T @ S, lower=True)
 
 
@@ -243,6 +239,8 @@ def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
 
     if max_restarts < 1:
         raise ValueError("max_restarts must be >= 1")
+    if not stop >= 0:
+        raise ValueError("stop must be >= 0")
     if not np.any(P.C):
         return LowRankFactor(np.zeros((0, P.n))), []
     history = []

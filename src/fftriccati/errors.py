@@ -30,10 +30,6 @@ class SingularShift(FftRiccatiError):
     """A - gamma*I (or the closed-loop correction) could not be factored."""
 
 
-class SingularClosedLoop(FftRiccatiError):
-    pass
-
-
 class SingularIterate(FftRiccatiError):
     """A dense oracle hit a singular linear system mid-iteration."""
 

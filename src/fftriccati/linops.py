@@ -1,9 +1,11 @@
-"""Small dense/sparse helpers: products and norms that accept either kind of A,
-and the R-only QR shared by factor compression and the residual norms."""
+"""Small dense/sparse helpers: products and norms for either kind of A, the
+R-only QR of compression and residuals, and the solvers' guarded Cholesky/LU."""
 
 import numpy as np
 import scipy.linalg.lapack
 import scipy.sparse
+
+from .errors import NotPositiveDefinite
 
 
 def rowmul(W, A):
@@ -37,3 +39,21 @@ def qr_r(K):
     if info != 0:
         raise np.linalg.LinAlgError("dgeqrt failed with info = %d" % info)
     return np.triu(a[:min(m, k)])
+
+
+def chol(M, what):
+    """Lower Cholesky factor of M's symmetric part; NotPositiveDefinite names `what`."""
+    try:
+        return np.linalg.cholesky(0.5 * (M + M.T))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite("%s is not positive definite" % what) from exc
+
+
+def lu(M, error, what):
+    """(lu, piv) of dense M as lu_factor gives them, from LAPACK's dgetrf (which
+    does not warn on an exact zero pivot); raises error if a pivot is
+    <= 1e-14 max(1, max|M_ij|)."""
+    lu_, piv, _ = scipy.linalg.lapack.dgetrf(M)
+    if np.min(np.abs(np.diag(lu_))) <= 1e-14 * max(1.0, np.abs(M).max()):
+        raise error("%s is numerically singular" % what)
+    return lu_, piv

@@ -10,8 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import (DimensionMismatch, SingularClosedLoop, SingularIterate,
-                     SingularShift)
+from .errors import DimensionMismatch, SingularIterate, SingularShift
 from .linops import to_dense
 
 _DENSE_GUARD = 256
@@ -101,25 +100,23 @@ def sda_care_init(A, B, C, gamma):
     return SdaState(A0, 0.5 * (G0 + G0.T), 0.5 * (H0 + H0.T))
 
 
-def care_ground_truth(A, B, C, gamma, max_doublings=60, tol=1e-13):
-    """Run doubling from the Cayley seed until the H iterate stalls."""
-    state = sda_care_init(A, B, C, gamma)
+def _doubled_h(state, max_doublings, tol):
+    """H after doubling from state until it stalls (or max_doublings steps)."""
     for _ in range(max_doublings):
         nxt = sda_step(state)
         if np.linalg.norm(nxt.Hk - state.Hk) <= tol * max(1.0, np.linalg.norm(nxt.Hk)):
             return nxt.Hk
         state = nxt
     return state.Hk
+
+
+def care_ground_truth(A, B, C, gamma, max_doublings=60, tol=1e-13):
+    """Run doubling from the Cayley seed until the H iterate stalls."""
+    return _doubled_h(sda_care_init(A, B, C, gamma), max_doublings, tol)
 
 
 def dare_ground_truth(A, B, C, max_doublings=60, tol=1e-13):
-    state = sda_dare_init(A, B, C)
-    for _ in range(max_doublings):
-        nxt = sda_step(state)
-        if np.linalg.norm(nxt.Hk - state.Hk) <= tol * max(1.0, np.linalg.norm(nxt.Hk)):
-            return nxt.Hk
-        state = nxt
-    return state.Hk
+    return _doubled_h(sda_dare_init(A, B, C), max_doublings, tol)
 
 
 def random_orthogonal(rng, n):
@@ -169,9 +166,9 @@ def radi_delta_check(P, X_factor, Ct, gamma):
     try:
         CtAinv = np.linalg.solve(At.T, Ct.T).T
     except np.linalg.LinAlgError as exc:
-        raise SingularClosedLoop("A - BB'X - gamma I is singular") from exc
+        raise SingularShift("A - BB'X - gamma I is singular") from exc
     if not np.all(np.isfinite(CtAinv)):
-        raise SingularClosedLoop("closed-loop solve produced non-finite values")
+        raise SingularShift("closed-loop solve produced non-finite values")
     tmp = CtAinv @ P.B
     mid = np.eye(Ct.shape[0]) + tmp @ tmp.T
     return 2.0 * gamma * CtAinv.T @ np.linalg.solve(mid, CtAinv)

@@ -18,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite, ZeroRhs
-from .linops import qr_r, rowmul
+from .errors import DimensionMismatch, ZeroRhs
+from .linops import chol, qr_r, rowmul
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,8 @@ def _care_coupling(SB):
 
 def _dare_coupling(SB):
     r = SB.shape[0]
-    try:
-        cho = scipy.linalg.cho_factor(np.eye(r) + SB @ SB.T, lower=True)
-    except scipy.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("I + (SB)(SB)' failed Cholesky") from exc
-    Ninv = scipy.linalg.cho_solve(cho, np.eye(r))
+    L = chol(np.eye(r) + SB @ SB.T, "I + (SB)(SB)'")
+    Ninv = scipy.linalg.cho_solve((L, True), np.eye(r))
     return np.block([[-np.eye(r), np.zeros((r, r))], [np.zeros((r, r)), 0.5 * (Ninv + Ninv.T)]])
 
 

@@ -31,21 +31,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, NotPositiveDefinite, PcgFailure
+from .errors import DimensionMismatch, PcgFailure
+from .linops import chol
 from .pcg import (GramOperator, TrailingGramOperator, choose_preconditioner,
                   pcg_solve)
 from .toeplitz import BlockToeplitzSpec, bt_apply
 from .toeplitz import bt_apply_transpose  # noqa: F401  (bound here for the layer tracer)
 
 _REL_TOL = 1e-12
-
-
-def _chol(M, what):
-    sym = 0.5 * (M + M.T)
-    try:
-        return np.linalg.cholesky(sym)
-    except np.linalg.LinAlgError as exc:
-        raise NotPositiveDefinite("%s is not positive definite" % what) from exc
 
 
 def _lower_inv(L):
@@ -117,8 +110,8 @@ def solve_sweep_systems(T):
     W = np.eye(p2) - Q3.T @ rhs_q3
     Wtilde = W + W @ Y.T @ Y @ W
 
-    LQ = _chol(Q2b, "Q2b")
-    LW = _chol(Wtilde, "Wtilde")
+    LQ = chol(Q2b, "Q2b")
+    LW = chol(Wtilde, "Wtilde")
     u1_blocks = (Q2.reshape(t, p1, p1)) @ _lower_inv(LQ).T
     u2_col = np.vstack([Q3, np.zeros((p1, p2))])
     u2_blocks = (u2_col.reshape(t, p1, p2)) @ _lower_inv(LW).T

@@ -9,7 +9,7 @@ from fftriccati import care
 from fftriccati.care import (cayley_transform, default_gamma0, fta_care_solve,
                              fta_care_sweep, residual_factor)
 from fftriccati.dare import LowRankFactor, RiccatiProblem
-from fftriccati.errors import DimensionMismatch, NoConvergence
+from fftriccati.errors import DimensionMismatch, NoConvergence, SingularShift
 from fftriccati.oracles import (care_ground_truth, radi_delta_check,
                                 random_care_instance, sda_care_init)
 from fftriccati.residuals import nres_care
@@ -79,6 +79,12 @@ class TestCayley:
     def test_gamma_must_be_positive(self):
         with pytest.raises(ValueError):
             cayley_transform(scalar_problem(), 0.0)
+
+    def test_singular_capacitance_is_singular_shift(self):
+        # A - gamma I = -2 I and V'(A - gamma I)^{-1} U = 1: I - V'M^{-1}U = 0
+        U, V = np.array([[1.0], [0.0]]), np.array([[-2.0], [0.0]])
+        with pytest.raises(SingularShift, match="capacitance"):
+            care.ShiftedSolver(-np.eye(2), 1.0, U, V)
 
     def test_sparse_matches_dense(self):
         A, B, C = random_care_instance(2, 10, 1, 1)
@@ -296,6 +302,33 @@ class TestSolve:
             fta_care_solve(scalar_problem(), gamma0=1.0, shift_decay=0.5)
         with pytest.raises(ValueError, match="max_rounds"):
             fta_care_solve(scalar_problem(), gamma0=1.0, max_rounds=0)
+
+    @pytest.mark.parametrize("stop", [-1.0, np.nan])
+    def test_stop_must_be_nonnegative(self, stop):
+        with pytest.raises(ValueError, match="stop"):
+            fta_care_solve(scalar_problem(), gamma0=1.0, stop=stop)
+
+    def test_singular_shift_retried_once_at_nudged_gamma(self, monkeypatch):
+        gammas = []
+        original = care.cayley_transform
+
+        def first_fails(P, gamma, *args):
+            gammas.append(gamma)
+            if len(gammas) == 1:
+                raise SingularShift("first shift singular")
+            return original(P, gamma, *args)
+
+        monkeypatch.setattr(care, "cayley_transform", first_fails)
+        res = fta_care_solve(scalar_problem(), gamma0=0.8, t_per_round=8, stop=1e-10)
+        assert res.converged and gammas[:2] == [0.8, 0.8 * 1.5]
+        assert [rec.gamma for rec in res.history] == gammas[1:]
+
+        def always_fails(P, gamma, *args):
+            raise SingularShift("every shift singular")
+
+        monkeypatch.setattr(care, "cayley_transform", always_fails)
+        with pytest.raises(SingularShift, match="every"):
+            fta_care_solve(scalar_problem(), gamma0=0.8)
 
     def test_emitted_nres_recomputable(self):
         A, B, C = random_care_instance(9, 12, 2, 2)

@@ -253,6 +253,18 @@ class TestErrors:
         assert main(["run", "--config", cfg, "--max-rounds", "0"]) == 1
         assert "error: max_r" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("stop", [-1.0, float("nan")])
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    def test_bad_stop_tol_rejected(self, tmp_path, capsys, equation, stop):
+        paths = write_scalar_care(tmp_path, a=-0.5)
+        cfg = write_config(tmp_path, {
+            "equation": equation, "stop_tol": stop, "out_dir": str(tmp_path / "out"),
+            **paths})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: stop")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("equation", ["care", "dare"])
     def test_non_finite_a_rejected(self, tmp_path, capsys, equation):
         paths = write_scalar_care(tmp_path, a=np.nan)

@@ -265,6 +265,11 @@ class TestSolve:
         with pytest.raises(ValueError, match="max_restarts"):
             fta_dare_solve(scalar_problem(0.5), max_restarts=0)
 
+    @pytest.mark.parametrize("stop", [-1.0, np.nan])
+    def test_stop_must_be_nonnegative(self, stop):
+        with pytest.raises(ValueError, match="stop"):
+            fta_dare_solve(scalar_problem(0.5), stop=stop)
+
     def test_scalar_converges_to_positive_root(self):
         P = scalar_problem(0.5, 1.0, 1.0)
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)

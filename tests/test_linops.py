@@ -1,9 +1,11 @@
-"""Dense/sparse helpers: the R-only QR kernel."""
+"""Dense/sparse helpers: the R-only QR kernel and the guarded Cholesky/LU."""
 
 import numpy as np
 import pytest
+import scipy.linalg
 
-from fftriccati.linops import qr_r
+from fftriccati.errors import NotPositiveDefinite, SingularShift
+from fftriccati.linops import chol, lu, qr_r
 
 
 @pytest.mark.parametrize("m, k", [
@@ -30,3 +32,31 @@ def test_qr_r_leaves_input_unchanged():
     before = K.copy()
     qr_r(K)
     assert np.array_equal(K, before)
+
+
+def test_chol_names_the_failing_matrix():
+    with pytest.raises(NotPositiveDefinite, match="W_test is not positive definite"):
+        chol(np.array([[1.0, 2.0], [2.0, 1.0]]), "W_test")
+
+
+def test_chol_factors_the_symmetric_part():
+    M = np.array([[4.0, 1.0], [3.0, 5.0]])
+    L = chol(M, "M")
+    assert np.array_equal(L, np.tril(L))
+    np.testing.assert_allclose(L @ L.T, 0.5 * (M + M.T), rtol=1e-15)
+
+
+@pytest.mark.parametrize("M, singular", [
+    (np.ones((2, 2)), True),                    # exact zero pivot
+    (np.diag([1.0, 1e-15]), True),              # below the floor of 1e-14
+    (np.diag([1e20, 1e5]), True),               # relative to max|M_ij|
+    (np.diag([1.0, 1e-13]), False),
+    (np.array([[2.0, 1.0], [1.0, 3.0]]), False),
+])
+def test_lu_pivot_rule(M, singular):
+    if singular:
+        with pytest.raises(SingularShift, match="M_test is numerically singular"):
+            lu(M, SingularShift, "M_test")
+    else:
+        factors, ref = lu(M, SingularShift, "M_test"), scipy.linalg.lu_factor(M)
+        assert np.array_equal(factors[0], ref[0]) and np.array_equal(factors[1], ref[1])
