@@ -9,13 +9,15 @@ residual(X_t) = C_t'C_t.  The outer loop accumulates corrections: each round
 solves the residual equation of the closed-loop matrix A - BB'X_acc (applied
 through a Sherman-Morrison-Woodbury update of the fixed shifted
 factorization), truncates the new rows at tau * sigma_max of the accumulated
-factor, stacks the rest on it, compresses, and decays the shift.
+factor, stacks the rest on it, and decays the shift.  The stack is
+compressed only when its row count doubles since its last compression, so a
+compression's cost is amortised over the rounds that grew it.
 
 Each round's residual comes from that factor: ||C_k C_k'||_F / ||CC'||_F
 costs O(l^2 n).  It misses only the compression error, so the exact
-``nres_care`` (a QR of the whole low-rank stack) runs only in a round whose
-cheap value reaches the stop, and decides: the loop goes on if it is above.
-A capped run also ends with one exact residual.
+``nres_care`` (a QR of the whole low-rank stack) runs, on the freshly
+compressed stack, only in a round whose cheap value reaches the stop and in
+the last round, and decides: the loop goes on if it is above.
 """
 
 import time
@@ -169,11 +171,17 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     """Incorporation loop: sweep, truncate, stack, compress, decay the shift.
 
     From round 2 on, the sweep's rows are truncated alone at tau * ||S_acc[0]||
-    (S_acc's sigma_max) before they are stacked, so ||X - X_hat||_2 <=
-    2 tau^2 ||X||_2; ``residual_factor`` takes them untruncated.
+    before they are stacked; ``residual_factor`` takes them untruncated.
+    S_acc[0] is row 0 of the last compressed factor, so its norm is that
+    factor's sigma_max, which X only outgrows.  ``compress_factor`` runs on
+    the stack when its rows reach twice the rank of its last compression (so
+    in round 1), before an exact residual and before the factor leaves the
+    loop.  A round's two truncations move X by at most 2 tau^2 ||X||_2.  The
+    feedback reads the stack as it stands.
 
     Converged means the exact ``nres_care`` is <= stop; each record's ``nres``
-    is the value its stop test used, ``nres_factor`` the residual factor's.
+    is the value its stop test used, ``nres_factor`` the residual factor's,
+    and ``rank`` the stack's rows (compressed in the last round).
     """
     if shift_decay < 1.0:
         raise ValueError("shift_decay must be >= 1")
@@ -187,6 +195,7 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     gamma = float(gamma0) if gamma0 is not None else default_gamma0(P.A)
 
     S_acc = np.zeros((0, P.n))
+    rank = 0  # rows of S_acc at its last compression; rows below it are new
     C_round = P.C.copy()
     cc = _cc_norm(P.C)
     history = []
@@ -200,15 +209,18 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
             sys = cayley_transform(P, gamma, C_round, feedback)
         sweep = fta_care_sweep(sys, t_per_round)
         rows = sweep.factor.S
-        if S_acc.shape[0]:  # compressed rows are sorted: row 0's norm is sigma_max
+        if rank:  # compressed rows come first, sorted: row 0's norm is sigma_max
             rows = _truncate(rows, tau, np.linalg.norm(S_acc[0]))
-        rows_in = S_acc.shape[0] + rows.shape[0]
-        if rows.shape[0]:
-            S_acc = compress_factor(LowRankFactor(np.vstack([S_acc, rows])), tau).S
+        S_acc = np.vstack([S_acc, rows])
+        rows_in = S_acc.shape[0]
         C_round = residual_factor(sys, sweep, C_round)
         nres_factor = _cc_norm(C_round) / cc
+        check = nres_factor <= stop or rnd == max_rounds
+        if rows_in > rank and (check or rows_in >= 2 * rank):
+            S_acc = compress_factor(LowRankFactor(S_acc), tau).S
+            rank = S_acc.shape[0]
         # the factor's norm misses the compression error: confirm exactly
-        exact = nres_care(LowRankFactor(S_acc), P).nres if nres_factor <= stop else None
+        exact = nres_care(LowRankFactor(S_acc), P).nres if check else None
         ms = 1000.0 * (time.perf_counter() - tic)
         history.append(RoundRecord(rnd, t_per_round, gamma,
                                    nres_factor if exact is None else exact,
@@ -216,9 +228,6 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
         if exact is not None and exact <= stop:
             return CareSolveResult(LowRankFactor(S_acc), history, True)
         gamma /= shift_decay
-    if exact is None:
-        history[-1].nres = nres_care(LowRankFactor(S_acc), P).nres
     raise NoConvergence(
         "nres %.3e > %.3e after %d rounds" % (history[-1].nres, stop, max_rounds),
         factor=LowRankFactor(S_acc), history=history)
-

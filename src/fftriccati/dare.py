@@ -114,10 +114,10 @@ class RoundRecord:
     t: int
     gamma: float
     nres: float  # the value the stop test used
-    rank: int
+    rank: int  # CARE: the stack's rows; only some rounds compress it
     ms: float
     nres_factor: float = None  # CARE only: ||C_k C_k'||_F / ||CC'||_F
-    rows_in: int = None  # rows of the stack the round compressed
+    rows_in: int = None  # the stack's rows before the round's compression, if any
 
 
 def _krylov_blocks(W0, rapply, count):

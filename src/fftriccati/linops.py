@@ -50,8 +50,8 @@ def chol(M, what):
 
 
 def lu(M, error, what):
-    """(lu, piv) of dense M as lu_factor gives them, from LAPACK's dgetrf (which
-    does not warn on an exact zero pivot); raises error if a pivot is
+    """(lu, piv) of dense M for scipy.linalg.lu_solve, from LAPACK's dgetrf
+    (which does not warn on an exact zero pivot); raises error if a pivot is
     <= 1e-14 max(1, max|M_ij|)."""
     lu_, piv, _ = scipy.linalg.lapack.dgetrf(M)
     if np.min(np.abs(np.diag(lu_))) <= 1e-14 * max(1.0, np.abs(M).max()):

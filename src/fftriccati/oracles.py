@@ -11,7 +11,7 @@ import numpy as np
 import scipy.linalg
 
 from .errors import DimensionMismatch, SingularIterate, SingularShift
-from .linops import to_dense
+from .linops import lu, to_dense
 
 _DENSE_GUARD = 256
 
@@ -24,11 +24,7 @@ class SdaState:
 
 
 def _solve(M, rhs, what):
-    try:
-        lu = scipy.linalg.lu_factor(M)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularIterate("%s is singular" % what) from exc
-    x = scipy.linalg.lu_solve(lu, rhs)
+    x = scipy.linalg.lu_solve(lu(M, SingularIterate, what), rhs)
     if not np.all(np.isfinite(x)):
         raise SingularIterate("%s is numerically singular" % what)
     return x
@@ -82,18 +78,11 @@ def sda_care_init(A, B, C, gamma):
     B, C = np.atleast_2d(B), np.atleast_2d(C)
     n = A.shape[0]
     Ahat = A - gamma * np.eye(n)
-    try:
-        lu = scipy.linalg.lu_factor(Ahat)
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularShift("gamma is an eigenvalue of A") from exc
-    Ainv = scipy.linalg.lu_solve(lu, np.eye(n))
+    Ainv = scipy.linalg.lu_solve(lu(Ahat, SingularShift, "A - gamma I"), np.eye(n))
     if not np.all(np.isfinite(Ainv)):
         raise SingularShift("shifted matrix numerically singular")
     K = Ahat.T + C.T @ C @ Ainv @ B @ B.T
-    try:
-        Kinv = scipy.linalg.lu_solve(scipy.linalg.lu_factor(K), np.eye(n))
-    except scipy.linalg.LinAlgError as exc:
-        raise SingularShift("K_gamma singular") from exc
+    Kinv = scipy.linalg.lu_solve(lu(K, SingularShift, "K_gamma"), np.eye(n))
     A0 = np.eye(n) + 2.0 * gamma * Kinv.T
     G0 = 2.0 * gamma * Ainv @ B @ B.T @ Kinv
     H0 = 2.0 * gamma * Kinv @ C.T @ C @ Ainv

@@ -35,6 +35,15 @@ def laplacian_problem(n, m, l, seed=0):
     return RiccatiProblem(A, rng.standard_normal((n, m)), rng.standard_normal((l, n)))
 
 
+def assert_compressed(S, tau=1e-12):
+    """Rows orthogonal to rounding, sorted by norm, each above tau * sigma_max."""
+    norms = np.linalg.norm(S, axis=1)
+    assert np.all(np.diff(norms) <= 1e-12 * norms[0])
+    assert np.all(norms > tau * norms[0])
+    np.testing.assert_allclose(S @ S.T, np.diag(norms ** 2), rtol=0,
+                               atol=1e-12 * norms[0] ** 2)
+
+
 def separated_antistable(seed, n, m):
     """Anti-stable instance with well-separated positive spectrum."""
     rng = np.random.default_rng(seed)
@@ -264,15 +273,31 @@ class TestSolve:
         assert result.converged
 
     def test_laplacian_3000_keeps_rounds_rank_and_residual(self):
-        # care-lap10k's settings at n = 3000.  The values are those of one
-        # compression of the full stack per round, the loop's single-truncation
-        # reference: cutting the sweep rows first must not move them
+        # care-lap10k's settings at n = 3000.  Rounds and residual are those
+        # of one compression of the full stack per round; compressing only
+        # when the stack doubles (4 compressions, not 15) must not move them.
+        # Fewer compression passes drop fewer directions just above
+        # tau * sigma_max, so the rank is 143 where every round gave 141
         P = laplacian_problem(3000, 4, 4)
         result = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6)
         assert result.converged
-        assert (len(result.history), result.factor.r) == (15, 141)
+        assert (len(result.history), result.factor.r) == (15, 143)
         assert nres_care(result.factor, P).nres \
             == pytest.approx(9.679939973909288e-7, rel=1e-3)
+
+    def test_compresses_when_stack_doubles(self, monkeypatch):
+        # rows_in 128, 207, 254 and 262 at n = 3000: 4 compressions in 15 rounds
+        calls = []
+        original = care.compress_factor
+
+        def counted(factor, tau):
+            calls.append(factor.r)
+            return original(factor, tau)
+
+        monkeypatch.setattr(care, "compress_factor", counted)
+        P = laplacian_problem(3000, 4, 4)
+        history = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6).history
+        assert 3 * len(calls) <= len(history)
 
     def test_result_unpacks_as_pair(self):
         factor, history = fta_care_solve(scalar_problem(), gamma0=1.0,
@@ -378,6 +403,40 @@ class TestStopTest:
         assert rejected.nres_factor <= stop < rejected.nres
         assert result.converged and len(result.history) > first.round
         assert nres_care(result.factor, P).nres <= stop
+
+    def test_exact_check_reads_compressed_factor(self, monkeypatch):
+        # the stop round of test_exact_check_above_stop_continues: the exact
+        # check rejects it, and the run goes on from the factor it checked
+        P = laplacian_problem(100, 1, 1)
+        first = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-3,
+                               stop=1e-4).history[-1]
+        stop = np.sqrt(first.nres * first.nres_factor)
+        checked = []
+        original = care.nres_care
+
+        def checking(factor, P):
+            assert_compressed(factor.S, 1e-3)
+            checked.append(factor.r)
+            return original(factor, P)
+
+        monkeypatch.setattr(care, "nres_care", checking)
+        history = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-3,
+                                 stop=stop).history
+        rejected, after = history[first.round - 1], history[first.round]
+        assert checked[0] == rejected.rank < rejected.rows_in
+        assert rejected.rank <= after.rows_in < rejected.rank + 16
+
+    def test_exits_return_compressed_factor(self):
+        # round 2 stacks 59 rows on round 1's 32, short of doubling: only the
+        # cap compresses them.  The converged run compresses before its check
+        P = laplacian_problem(200, 2, 2)
+        with pytest.raises(NoConvergence) as exc:
+            fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8, max_rounds=2)
+        assert exc.value.history[-1].rows_in == 59
+        converged = fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8)
+        for factor, history in ((exc.value.factor, exc.value.history), converged):
+            assert_compressed(factor.S)
+            assert history[-1].rank == factor.r
 
     def test_factor_norm_tracks_exact_on_laplacian(self):
         P = laplacian_problem(200, 2, 2)

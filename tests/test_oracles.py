@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fftriccati.errors import DimensionMismatch, SingularShift
+from fftriccati.errors import DimensionMismatch, SingularIterate, SingularShift
 from fftriccati.oracles import (care_ground_truth, dare_ground_truth,
                                 dre_dense, random_care_instance,
                                 random_dare_instance, random_orthogonal,
@@ -42,6 +42,12 @@ class TestDreDense:
         with pytest.raises(DimensionMismatch):
             dre_dense(np.eye(n), np.ones((n, 1)), np.ones((1, n)),
                       np.zeros((n, n)), 1)
+
+    def test_singular_inner_matrix_is_singular_iterate(self):
+        # X0 = -1, B = 1: I + BB'X0 is exactly zero; no LinAlgWarning escapes
+        with pytest.raises(SingularIterate, match="I \\+ BB'X"):
+            dre_dense(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]),
+                      np.array([[-1.0]]), 1)
 
 
 class TestSda:
@@ -106,6 +112,18 @@ class TestCareInit:
             with pytest.raises(SingularShift):
                 sda_care_init(np.array([[1.0]]), np.array([[1.0]]),
                               np.array([[1.0]]), 1.0)
+
+    def test_singular_shift_raises_without_warning(self):
+        with pytest.raises(SingularShift, match="A - gamma I"):
+            sda_care_init(np.eye(3), np.ones((3, 1)), np.ones((1, 3)), gamma=1.0)
+
+    def test_numerically_singular_k_gamma_raises(self):
+        # A - I = [[0.5, 0], [1, 1]] is well conditioned, but with B = 1e4 e1
+        # and C = 1e4 e2, K = [[0.5, 1], [-2e16, 1]]: its second pivot is
+        # about 1 against max|K| = 2e16
+        with pytest.raises(SingularShift, match="K_gamma"):
+            sda_care_init(np.array([[1.5, 0.0], [1.0, 2.0]]),
+                          np.array([[1e4], [0.0]]), np.array([[0.0, 1e4]]), 1.0)
 
 
 class TestGroundTruth:
