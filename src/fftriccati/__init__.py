@@ -1,10 +1,10 @@
 """Low-rank algebraic Riccati solvers on FFT block-Toeplitz kernels."""
 
-from .care import (CareSolveResult, CayleySystem, cayley_transform,
-                   fta_care_solve, fta_care_sweep, residual_factor)
+from .care import (CayleySystem, cayley_transform, fta_care_solve,
+                   fta_care_sweep, residual_factor)
 from .dare import (KrylovStack, LowRankFactor, RiccatiProblem, RoundRecord,
-                   build_krylov_stack, compress_factor, fta_dare_arbitrary,
-                   fta_dare_solve, fta_dare_sweep)
+                   SolveResult, build_krylov_stack, compress_factor,
+                   fta_dare_arbitrary, fta_dare_solve, fta_dare_sweep)
 from .errors import (BreakdownNonSpd, DimensionMismatch, FftRiccatiError,
                      NoConvergence, NotPositiveDefinite, ParseError, PcgFailure,
                      SingularIterate, SingularPreconditioner, SingularShift,

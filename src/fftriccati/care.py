@@ -5,7 +5,8 @@
 A shift gamma > 0 turns the equation into a discrete one through the Cayley
 transform of A - gamma*I; one structured sweep then produces a low-rank
 iterate X_t together with a residual factor C_t satisfying
-residual(X_t) = C_t'C_t.  The outer loop accumulates corrections: each round
+residual(X_t) = C_t'C_t.  ``dare._drive`` runs the outer loop shared with
+the DARE solver; the rounds here accumulate corrections: each round
 solves the residual equation of the closed-loop matrix A - BB'X_acc (applied
 through a Sherman-Morrison-Woodbury update of the fixed shifted
 factorization), truncates the new rows at tau * sigma_max of the accumulated
@@ -20,7 +21,6 @@ compressed stack, only in a round whose cheap value reaches the stop and in
 the last round, and decides: the loop goes on if it is above.
 """
 
-import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,9 +28,9 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dare import (LowRankFactor, RoundRecord, _krylov_stack, _truncate,
+from .dare import (LowRankFactor, _drive, _krylov_stack, _truncate,
                    compress_factor)
-from .errors import NoConvergence, SingularShift
+from .errors import SingularShift
 from .linops import lu, one_norm
 from .residuals import _cc_norm, nres_care
 from .toeplitz import BlockToeplitzSpec
@@ -115,8 +115,8 @@ def cayley_transform(P, gamma, C_current=None, feedback=None):
     C_current substitutes the residual factor of an incorporation round;
     feedback = (U, V) folds the closed-loop correction -UV' into A.
     """
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
+    if not 0.0 < gamma < np.inf:
+        raise ValueError("gamma must be positive and finite")
     C_cur = P.C if C_current is None else np.atleast_2d(np.asarray(C_current, float))
     U, V = feedback if feedback is not None else (None, None)
     solver = ShiftedSolver(P.A, gamma, U, V)
@@ -151,19 +151,41 @@ def residual_factor(sys, sweep, C_in):
     return C_in + np.sqrt(2.0 * sys.gamma) * (xi.T @ sweep.factor.S)
 
 
-@dataclass
-class CareSolveResult:
-    factor: LowRankFactor
-    history: list
-    converged: bool
-    note: str = ""
-
-    def __iter__(self):
-        return iter((self.factor, self.history))
-
-
 def default_gamma0(A):
     return max(1e-6, 0.1 * one_norm(A) / A.shape[0])
+
+
+def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
+    """Yield each incorporation round's factor and record fields to ``_drive``."""
+    gamma = float(gamma0) if gamma0 is not None else default_gamma0(P.A)
+    S_acc = np.zeros((0, P.n))
+    rank = 0  # rows of S_acc at its last compression; rows below it are new
+    C_round = P.C.copy()
+    cc = _cc_norm(P.C)
+    for rnd in range(1, max_rounds + 1):
+        feedback = (P.B, S_acc.T @ (S_acc @ P.B))  # zero in round 1
+        try:
+            sys = cayley_transform(P, gamma, C_round, feedback)
+        except SingularShift:
+            gamma *= 1.5  # single retry with a nudged shift
+            sys = cayley_transform(P, gamma, C_round, feedback)
+        sweep = fta_care_sweep(sys, t)
+        rows = sweep.factor.S
+        if rank:  # compressed rows come first, sorted: row 0's norm is sigma_max
+            rows = _truncate(rows, tau, np.linalg.norm(S_acc[0]))
+        S_acc = np.vstack([S_acc, rows])
+        rows_in = S_acc.shape[0]
+        C_round = residual_factor(sys, sweep, C_round)
+        nres_factor = _cc_norm(C_round) / cc
+        check = nres_factor <= stop or rnd == max_rounds
+        if rows_in > rank and (check or rows_in >= 2 * rank):
+            S_acc = compress_factor(LowRankFactor(S_acc), tau).S
+            rank = S_acc.shape[0]
+        # the factor's norm misses the compression error: confirm exactly
+        nres = nres_care(LowRankFactor(S_acc), P).nres if check else nres_factor
+        yield LowRankFactor(S_acc), dict(t=t, gamma=gamma, nres=nres, rank=S_acc.shape[0],
+                                         nres_factor=nres_factor, rows_in=rows_in)
+        gamma /= shift_decay
 
 
 def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
@@ -183,51 +205,7 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     is the value its stop test used, ``nres_factor`` the residual factor's,
     and ``rank`` the stack's rows (compressed in the last round).
     """
-    if shift_decay < 1.0:
-        raise ValueError("shift_decay must be >= 1")
-    if max_rounds < 1:
-        raise ValueError("max_rounds must be >= 1")
-    if not stop >= 0:
-        raise ValueError("stop must be >= 0")
-    if not np.any(P.C):
-        return CareSolveResult(LowRankFactor(np.zeros((0, P.n))), [], True,
-                               note="zero right-hand side (ZeroRhs)")
-    gamma = float(gamma0) if gamma0 is not None else default_gamma0(P.A)
-
-    S_acc = np.zeros((0, P.n))
-    rank = 0  # rows of S_acc at its last compression; rows below it are new
-    C_round = P.C.copy()
-    cc = _cc_norm(P.C)
-    history = []
-    for rnd in range(1, max_rounds + 1):
-        tic = time.perf_counter()
-        feedback = (P.B, S_acc.T @ (S_acc @ P.B))  # zero in round 1
-        try:
-            sys = cayley_transform(P, gamma, C_round, feedback)
-        except SingularShift:
-            gamma *= 1.5  # single retry with a nudged shift
-            sys = cayley_transform(P, gamma, C_round, feedback)
-        sweep = fta_care_sweep(sys, t_per_round)
-        rows = sweep.factor.S
-        if rank:  # compressed rows come first, sorted: row 0's norm is sigma_max
-            rows = _truncate(rows, tau, np.linalg.norm(S_acc[0]))
-        S_acc = np.vstack([S_acc, rows])
-        rows_in = S_acc.shape[0]
-        C_round = residual_factor(sys, sweep, C_round)
-        nres_factor = _cc_norm(C_round) / cc
-        check = nres_factor <= stop or rnd == max_rounds
-        if rows_in > rank and (check or rows_in >= 2 * rank):
-            S_acc = compress_factor(LowRankFactor(S_acc), tau).S
-            rank = S_acc.shape[0]
-        # the factor's norm misses the compression error: confirm exactly
-        exact = nres_care(LowRankFactor(S_acc), P).nres if check else None
-        ms = 1000.0 * (time.perf_counter() - tic)
-        history.append(RoundRecord(rnd, t_per_round, gamma,
-                                   nres_factor if exact is None else exact,
-                                   S_acc.shape[0], ms, nres_factor, rows_in))
-        if exact is not None and exact <= stop:
-            return CareSolveResult(LowRankFactor(S_acc), history, True)
-        gamma /= shift_decay
-    raise NoConvergence(
-        "nres %.3e > %.3e after %d rounds" % (history[-1].nres, stop, max_rounds),
-        factor=LowRankFactor(S_acc), history=history)
+    if not 1.0 <= shift_decay < np.inf:
+        raise ValueError("shift_decay must be >= 1 and finite")
+    return _drive(P, _care_rounds(P, gamma0, t_per_round, shift_decay, tau, stop,
+                                  max_rounds), stop, max_rounds, "rounds")

@@ -24,7 +24,7 @@ import scipy.io
 import scipy.sparse
 
 from .care import fta_care_solve
-from .dare import RiccatiProblem, fta_dare_solve
+from .dare import RiccatiProblem, SolveResult, fta_dare_solve
 from .errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
                      ParseError)
 
@@ -105,10 +105,10 @@ def load_problem(cfg):
     return RiccatiProblem(A, B, C)
 
 
-def _write_outputs(out_dir, equation, n, factor, history, converged, total_ms,
-                   note=""):
+def _write_outputs(out_dir, equation, n, result, total_ms):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    factor, history = result
     # one zero row keeps S'S n x n; mmwrite of a 0 x n array is not safe
     S = factor.S if factor is not None and factor.S.size else np.zeros((1, n))
     scipy.io.mmwrite(out / "factor.mtx", S)
@@ -119,12 +119,12 @@ def _write_outputs(out_dir, equation, n, factor, history, converged, total_ms,
                      % (rec.round, rec.t, rec.gamma, rec.nres, rec.rank, rec.ms))
     summary = {
         "equation": equation,
-        "converged": bool(converged),
+        "converged": result.converged,
         "rounds": len(history),
-        "final_nres": history[-1].nres if history else (0.0 if converged else None),
+        "final_nres": history[-1].nres if history else (0.0 if result.converged else None),
         "final_rank": factor.r if factor is not None else 0,
         "total_time_ms": total_ms,
-        "note": note,
+        "note": result.note,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
@@ -136,32 +136,27 @@ def run(cfg):
     """Execute one configured solve; returns the process exit code."""
     problem = load_problem(cfg)
     tic = time.perf_counter()
-    note, failure_code = "", 2
+    failure_code = 2
     try:
         if cfg["equation"] == "care":
             result = fta_care_solve(
                 problem, gamma0=cfg["gamma0"], t_per_round=int(cfg["t"]),
                 shift_decay=float(cfg["shift_decay"]), tau=float(cfg["tau"]),
                 stop=float(cfg["stop_tol"]), max_rounds=int(cfg["max_rounds"]))
-            factor, history, converged = result.factor, result.history, result.converged
-            note = result.note
         else:
-            factor, history = fta_dare_solve(
+            result = fta_dare_solve(
                 problem, t_per_restart=int(cfg["t"]), tau=float(cfg["tau"]),
                 stop=float(cfg["stop_tol"]), max_restarts=int(cfg["max_rounds"]))
-            converged = True
     except NoConvergence as exc:
-        factor, history, converged = exc.factor, exc.history or [], False
-        note = str(exc)
+        result = SolveResult(exc.factor, exc.history or [], False, str(exc))
     except DimensionMismatch:
         raise
     except FftRiccatiError as exc:
-        factor, history, converged, failure_code = None, [], False, 3
-        note = "%s: %s" % (type(exc).__name__, exc)
+        result = SolveResult(None, [], False, "%s: %s" % (type(exc).__name__, exc))
+        failure_code = 3
     total_ms = 1000.0 * (time.perf_counter() - tic)
-    _write_outputs(cfg["out_dir"], cfg["equation"], problem.n, factor, history,
-                   converged, total_ms, note)
-    return 0 if converged else failure_code
+    _write_outputs(cfg["out_dir"], cfg["equation"], problem.n, result, total_ms)
+    return 0 if result.converged else failure_code
 
 
 def generate_synthetic(kind, n, m, l, seed, out_dir):

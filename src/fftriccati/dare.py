@@ -13,8 +13,9 @@ rows need Gamma A^k B (k < t) and Gamma A^t only, so a restart propagates
 Gamma with one live g x n block.
 
 The problem type, the low-rank factor, the per-round record, the guarded
-Krylov-block builder and the factor compression defined here are shared with
-the continuous-time solver in ``care``.
+Krylov-block builder, the factor compression and the outer loop ``_drive``
+with its ``SolveResult`` defined here are shared with the continuous-time
+solver in ``care``: each solver only yields its rounds to ``_drive``.
 """
 
 import time
@@ -24,6 +25,7 @@ import numpy as np
 import scipy.linalg
 import scipy.sparse
 
+from . import residuals
 from .errors import DimensionMismatch, NoConvergence, StackBlowup
 from .linops import chol, qr_r, rowmul
 from .toeplitz import BlockToeplitzSpec, bt_apply
@@ -118,6 +120,44 @@ class RoundRecord:
     ms: float
     nres_factor: float = None  # CARE only: ||C_k C_k'||_F / ||CC'||_F
     rows_in: int = None  # the stack's rows before the round's compression, if any
+
+
+@dataclass
+class SolveResult:
+    """A solve's factor and per-round records; unpacks as (factor, history)."""
+
+    factor: LowRankFactor
+    history: list
+    converged: bool = True
+    note: str = ""
+
+    def __iter__(self):
+        return iter((self.factor, self.history))
+
+
+def _drive(P, rounds, stop, max_rounds, unit):
+    """The outer loop of both solvers: time and record what the generator
+    ``rounds`` yields, (factor, the RoundRecord fields but round and ms), until
+    a record's nres is <= stop.  At the cap, NoConvergence carries the last
+    factor.  Round k's factor is dropped before round k + 1 runs."""
+    if max_rounds < 1:
+        raise ValueError("max_%s must be >= 1" % unit)
+    if not stop >= 0:
+        raise ValueError("stop must be >= 0")
+    if not np.any(P.C):
+        return SolveResult(LowRankFactor(np.zeros((0, P.n))), [],
+                           note="zero right-hand side (ZeroRhs)")
+    history = []
+    for rnd in range(1, max_rounds + 1):
+        tic = time.perf_counter()
+        factor, fields = next(rounds)
+        history.append(RoundRecord(rnd, ms=1000.0 * (time.perf_counter() - tic), **fields))
+        if history[-1].nres <= stop:
+            return SolveResult(factor, history)
+        if rnd == max_rounds:
+            raise NoConvergence("nres %.3e > %.3e after %d %s" % (
+                history[-1].nres, stop, rnd, unit), factor=factor, history=history)
+        del factor
 
 
 def _krylov_blocks(W0, rapply, count):
@@ -233,32 +273,17 @@ def compress_factor(factor, tau):
     return LowRankFactor(_truncate(factor.S, tau))
 
 
-def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
-    """Restarted sweeps until nres_dare <= stop; returns (factor, history)."""
-    from .residuals import nres_dare
-
-    if max_restarts < 1:
-        raise ValueError("max_restarts must be >= 1")
-    if not stop >= 0:
-        raise ValueError("stop must be >= 0")
-    if not np.any(P.C):
-        return LowRankFactor(np.zeros((0, P.n))), []
-    history = []
-    factor = None
-    for rnd in range(1, max_restarts + 1):
-        tic = time.perf_counter()
-        if factor is None:
-            base = _sweep_base(P, t_per_restart)
-            raw = base[2]
-        else:
-            raw = np.vstack([base[2], _initial_term(P, base, factor.S, t_per_restart)])
+def _dare_rounds(P, t, tau):
+    """Build the sweep once; each later restart appends its initial-term rows."""
+    base = _sweep_base(P, t)
+    raw = base[2]
+    while True:
         factor = compress_factor(LowRankFactor(raw), tau)
-        rep = nres_dare(factor, P)
-        ms = 1000.0 * (time.perf_counter() - tic)
-        history.append(RoundRecord(rnd, t_per_restart, 0.0, rep.nres, factor.r, ms,
-                                   rows_in=raw.shape[0]))
-        if rep.nres <= stop:
-            return factor, history
-    raise NoConvergence(
-        "nres %.3e > %.3e after %d restarts" % (history[-1].nres, stop, max_restarts),
-        factor=factor, history=history)
+        yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P).nres,
+                           rank=factor.r, rows_in=raw.shape[0])
+        raw = np.vstack([base[2], _initial_term(P, base, factor.S, t)])
+
+
+def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
+    """Restarted sweeps until nres_dare <= stop; unpacks as (factor, history)."""
+    return _drive(P, _dare_rounds(P, t_per_restart, tau), stop, max_restarts, "restarts")

@@ -39,7 +39,7 @@ class SingularPreconditioner(FftRiccatiError):
 
 
 class NoConvergence(FftRiccatiError):
-    """Outer loop hit its round cap; carries the best factor and residual history."""
+    """Outer loop hit its round cap; carries the last factor and the round history."""
 
     def __init__(self, message, factor=None, history=None):
         super().__init__(message)

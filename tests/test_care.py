@@ -89,6 +89,11 @@ class TestCayley:
         with pytest.raises(ValueError):
             cayley_transform(scalar_problem(), 0.0)
 
+    @pytest.mark.parametrize("gamma", [np.nan, np.inf, -np.inf])
+    def test_non_finite_gamma_rejected(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be positive and finite"):
+            cayley_transform(scalar_problem(), gamma)
+
     def test_singular_capacitance_is_singular_shift(self):
         # A - gamma I = -2 I and V'(A - gamma I)^{-1} U = 1: I - V'M^{-1}U = 0
         U, V = np.array([[1.0], [0.0]]), np.array([[-2.0], [0.0]])
@@ -332,6 +337,18 @@ class TestSolve:
     def test_stop_must_be_nonnegative(self, stop):
         with pytest.raises(ValueError, match="stop"):
             fta_care_solve(scalar_problem(), gamma0=1.0, stop=stop)
+
+    @pytest.mark.parametrize("key", ["gamma0", "shift_decay"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_shift_or_decay_rejected_before_any_lu(self, monkeypatch,
+                                                              key, value):
+        def no_lu(*args):
+            raise AssertionError("A - gamma I factored")
+
+        monkeypatch.setattr(care, "ShiftedSolver", no_lu)
+        kwargs = {"gamma0": 1.0, "shift_decay": 1.01, key: value}
+        with pytest.raises(ValueError, match="gamma|shift_decay"):
+            fta_care_solve(scalar_problem(), **kwargs)
 
     def test_singular_shift_retried_once_at_nudged_gamma(self, monkeypatch):
         gammas = []

@@ -212,6 +212,7 @@ class TestNumericalFailure:
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rounds"] == 0
         assert summary["final_nres"] == 0.0
+        assert summary["note"] == "zero right-hand side (ZeroRhs)"
         # no factor rows: one zero row, so that S'S is the n x n zero matrix
         S = np.asarray(scipy.io.mmread(out / "factor.mtx"))
         np.testing.assert_array_equal(S, np.zeros((1, n)))
@@ -263,6 +264,21 @@ class TestErrors:
         assert main(["run", "--config", cfg]) == 1
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: stop")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,word", [("gamma0", "gamma"),
+                                          ("shift_decay", "shift_decay")])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+    def test_non_finite_shift_or_decay_rejected(self, tmp_path, capsys, key, word,
+                                                value):
+        # Python's json writes and reads NaN, Infinity and -Infinity
+        paths = write_scalar_care(tmp_path)
+        cfg = write_config(tmp_path, {
+            "equation": "care", key: value, "out_dir": str(tmp_path / "out"),
+            **paths})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: " + word)
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("equation", ["care", "dare"])
