@@ -31,33 +31,31 @@ import scipy.sparse.linalg
 from .dare import (LowRankFactor, _drive, _krylov_stack, _truncate,
                    compress_factor)
 from .errors import SingularShift
-from .linops import lu, one_norm
+from .linops import check_pivots, lu
 from .residuals import _cc_norm, nres_care
 from .toeplitz import BlockToeplitzSpec
 from .toeplitz_inverse import solve_sweep_systems
 
 
 class ShiftedSolver:
-    """Factorization of A - U V' - gamma I, one LU of the sparse/dense base.
+    """Factorization of A - U V' - gamma I: one SuperLU LU of A - gamma I (A as CSR).
 
     The optional rank-m feedback term U V' is folded in with the
     Sherman-Morrison-Woodbury identity so closed-loop rounds reuse the base
     factorization of A - gamma I; a zero V is skipped.  Any failure to factor
-    either part, or a non-finite solve, raises SingularShift.
+    either part, a pivot that ``linops.check_pivots`` rejects, or a non-finite
+    solve raises SingularShift.
     """
 
     def __init__(self, A, gamma, U=None, V=None):
+        A = scipy.sparse.csr_matrix(A)
         n = A.shape[0]
-        self._sparse = scipy.sparse.issparse(A)
-        if self._sparse:
-            M = (A - gamma * scipy.sparse.identity(n, format="csr")).tocsc()
-            try:
-                self._lu = scipy.sparse.linalg.splu(M)
-            except RuntimeError as exc:
-                raise SingularShift("cannot factor A - gamma I") from exc
-        else:
-            self._lu = lu(np.asarray(A, dtype=float) - gamma * np.eye(n),
-                          SingularShift, "A - gamma I")
+        M = (A - gamma * scipy.sparse.identity(n, format="csr")).tocsc()
+        try:
+            self._lu = scipy.sparse.linalg.splu(M)
+        except RuntimeError as exc:
+            raise SingularShift("cannot factor A - gamma I") from exc
+        check_pivots(self._lu.U.diagonal(), M, SingularShift, "A - gamma I")
         self._U = self._V = None
         if U is not None and U.size and V is not None and np.any(V):
             self._U = np.asarray(U, dtype=float)
@@ -70,15 +68,11 @@ class ShiftedSolver:
             raise SingularShift("shifted solve produced non-finite values")
 
     def _base_solve(self, X):
-        if self._sparse:
-            return self._lu.solve(np.ascontiguousarray(X))
-        return scipy.linalg.lu_solve(self._lu, X)
+        return self._lu.solve(np.ascontiguousarray(X))
 
     def _base_rsolve(self, W):
         """W M^{-1} for a row block W."""
-        if self._sparse:
-            return self._lu.solve(np.ascontiguousarray(W.T), trans="T").T
-        return scipy.linalg.lu_solve(self._lu, W.T, trans=1).T
+        return self._lu.solve(np.ascontiguousarray(W.T), trans="T").T
 
     def solve(self, X):
         """(A_eff - gamma I)^{-1} X."""
@@ -152,7 +146,7 @@ def residual_factor(sys, sweep, C_in):
 
 
 def default_gamma0(A):
-    return max(1e-6, 0.1 * one_norm(A) / A.shape[0])
+    return max(1e-6, 0.1 * float(abs(A).sum(axis=0).max()) / A.shape[0])
 
 
 def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):

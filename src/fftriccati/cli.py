@@ -58,6 +58,7 @@ def _read_matrix(path, what):
 
 def load_config(args):
     cfg = {key: default for key, (default, _, _) in _KEYS.items()}
+    named = set()  # keys set by the config or a flag
     if args.config:
         try:
             with open(args.config) as fh:
@@ -74,12 +75,17 @@ def load_config(args):
         if unknown:
             raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
         cfg.update(user)
+        named = set(user)
     for key in ("equation", "gamma0", "t", "stop_tol", "max_rounds", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
+            named.add(key)
     if cfg["equation"] not in ("dare", "care"):
         raise ParseError("equation must be 'dare' or 'care'")
+    care_only = sorted(named & {"gamma0", "shift_decay"})
+    if cfg["equation"] == "dare" and care_only:
+        raise ParseError("config keys not used by a DARE run: %s" % ", ".join(care_only))
     for key in ("a", "b", "c"):
         if not cfg[key]:
             raise ParseError("missing input path %r" % key)
@@ -90,19 +96,9 @@ def load_config(args):
     return cfg
 
 
-def _dense(path, what):
-    M = _read_matrix(path, what)
-    if scipy.sparse.issparse(M):
-        M = M.toarray()
-    return np.atleast_2d(np.asarray(M, dtype=float))
-
-
 def load_problem(cfg):
-    A = _read_matrix(cfg["a"], "A")
-    A = A.tocsr() if scipy.sparse.issparse(A) else np.asarray(A, dtype=float)
-    B = _dense(cfg["b"], "B")
-    C = _dense(cfg["c"], "C")
-    return RiccatiProblem(A, B, C)
+    """RiccatiProblem of the config's Matrix Market files; it picks the storage."""
+    return RiccatiProblem(*(_read_matrix(cfg[key], key.upper()) for key in "abc"))
 
 
 def _write_outputs(out_dir, equation, n, result, total_ms):

@@ -27,7 +27,7 @@ import scipy.sparse
 
 from . import residuals
 from .errors import DimensionMismatch, NoConvergence, StackBlowup
-from .linops import chol, qr_r, rowmul
+from .linops import chol, qr_r, rowmul, to_dense
 from .toeplitz import BlockToeplitzSpec, bt_apply
 from .toeplitz_inverse import solve_sweep_systems
 
@@ -36,22 +36,22 @@ _BLOWUP_LIMIT = 1e150
 
 @dataclass(frozen=True)
 class RiccatiProblem:
-    """Coefficients (A, B, C) of a continuous or discrete Riccati equation."""
+    """Coefficients (A, B, C) of a continuous or discrete Riccati equation, stored
+    once: A as CSR (a CSR A is kept as it is), B and C as dense float arrays."""
 
-    A: object  # n x n, dense ndarray or scipy sparse
+    A: scipy.sparse.csr_matrix  # n x n
     B: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
-        B = np.atleast_2d(np.asarray(self.B, dtype=float))
-        C = np.atleast_2d(np.asarray(self.C, dtype=float))
-        n = self.A.shape[0]
-        if self.A.shape[1] != n:
+        A = (self.A.tocsr() if scipy.sparse.issparse(self.A)
+             else scipy.sparse.csr_matrix(np.asarray(self.A, dtype=float)))
+        B = np.atleast_2d(to_dense(self.B))
+        C = np.atleast_2d(to_dense(self.C))
+        n = A.shape[0]
+        if A.shape[1] != n:
             raise DimensionMismatch("A must be square")
-        # tocsr() returns a CSR A itself and reads every other format alike
-        # (DIA padding, LIL row lists)
-        values = self.A.tocsr().data if scipy.sparse.issparse(self.A) else self.A
-        if not np.all(np.isfinite(values)):
+        if not np.all(np.isfinite(A.data)):
             raise DimensionMismatch("A must be finite")
         if B.shape[0] != n:
             raise DimensionMismatch("B must have n rows")
@@ -61,6 +61,7 @@ class RiccatiProblem:
             raise DimensionMismatch("need m <= n and l <= n")
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
             raise DimensionMismatch("B and C must be finite")
+        object.__setattr__(self, "A", A)
         object.__setattr__(self, "B", B)
         object.__setattr__(self, "C", C)
 

@@ -1,5 +1,5 @@
-"""Small dense/sparse helpers: products and norms for either kind of A, the
-R-only QR of compression and residuals, and the solvers' guarded Cholesky/LU."""
+"""Small helpers: products with the CSR A, dense raw inputs, the R-only QR, the
+guarded Cholesky/LU and the one LU-pivot rule ``check_pivots`` of every LU."""
 
 import numpy as np
 import scipy.linalg.lapack
@@ -9,22 +9,13 @@ from .errors import NotPositiveDefinite
 
 
 def rowmul(W, A):
-    """W @ A for a dense row block W and dense or sparse A, as an ndarray."""
-    if scipy.sparse.issparse(A):
-        return np.asarray((A.T @ W.T).T)
-    return W @ A
-
-
-def one_norm(A):
-    if scipy.sparse.issparse(A):
-        return float(abs(A).sum(axis=0).max())
-    return float(np.linalg.norm(A, 1))
+    """W @ A for a dense row block W and sparse A, as an ndarray."""
+    return np.asarray((A.T @ W.T).T)
 
 
 def to_dense(A):
-    if scipy.sparse.issparse(A):
-        return A.toarray()
-    return np.asarray(A, dtype=float)
+    """A raw dense or sparse input as a float ndarray."""
+    return np.asarray(A.toarray() if scipy.sparse.issparse(A) else A, dtype=float)
 
 
 def qr_r(K):
@@ -49,11 +40,16 @@ def chol(M, what):
         raise NotPositiveDefinite("%s is not positive definite" % what) from exc
 
 
+def check_pivots(pivots, M, error, what):
+    """The one LU-pivot rule: raise error if a pivot of the LU of the dense or
+    sparse M is <= 1e-14 max(1, max|M_ij|), or is NaN."""
+    if not np.min(np.abs(pivots)) > 1e-14 * max(1.0, abs(M).max()):
+        raise error("%s is numerically singular" % what)
+
+
 def lu(M, error, what):
     """(lu, piv) of dense M for scipy.linalg.lu_solve, from LAPACK's dgetrf
-    (which does not warn on an exact zero pivot); raises error if a pivot is
-    <= 1e-14 max(1, max|M_ij|)."""
+    (which does not warn on an exact zero pivot), under ``check_pivots``."""
     lu_, piv, _ = scipy.linalg.lapack.dgetrf(M)
-    if np.min(np.abs(np.diag(lu_))) <= 1e-14 * max(1.0, np.abs(M).max()):
-        raise error("%s is numerically singular" % what)
+    check_pivots(np.diag(lu_), M, error, what)
     return lu_, piv

@@ -152,12 +152,8 @@ def radi_delta_check(P, X_factor, Ct, gamma):
     X = X_factor.gram() if hasattr(X_factor, "gram") else np.asarray(X_factor, float)
     A = to_dense(P.A)
     At = A - P.B @ (P.B.T @ X) - gamma * np.eye(P.n)
-    try:
-        CtAinv = np.linalg.solve(At.T, Ct.T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularShift("A - BB'X - gamma I is singular") from exc
-    if not np.all(np.isfinite(CtAinv)):
-        raise SingularShift("closed-loop solve produced non-finite values")
+    CtAinv = scipy.linalg.lu_solve(lu(At, SingularShift, "A - BB'X - gamma I"),
+                                   Ct.T, trans=1).T
     tmp = CtAinv @ P.B
     mid = np.eye(Ct.shape[0]) + tmp @ tmp.T
     return 2.0 * gamma * CtAinv.T @ np.linalg.solve(mid, CtAinv)

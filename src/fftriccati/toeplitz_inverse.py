@@ -77,7 +77,7 @@ def _solve_spd(op, precond, rhs, kappa_bound):
     # ill-conditioned Gram systems can need ~sqrt(kappa) > dim iterations
     res = pcg_solve(op, precond, rhs, rel_tol=_REL_TOL, max_iter=50 * op.dim)
     floor = max(_REL_TOL, 100.0 * np.finfo(float).eps * kappa_bound)
-    bad = res.residuals > floor
+    bad = ~(res.residuals <= floor)  # a NaN residual is a miss too
     if np.any(bad):
         raise PcgFailure(
             "PCG missed tolerance on %d of %d columns (worst rel. residual %g, floor %g)"

@@ -9,7 +9,8 @@ from fftriccati import care
 from fftriccati.care import (cayley_transform, default_gamma0, fta_care_solve,
                              fta_care_sweep, residual_factor)
 from fftriccati.dare import LowRankFactor, RiccatiProblem
-from fftriccati.errors import DimensionMismatch, NoConvergence, SingularShift
+from fftriccati.errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
+                               SingularShift)
 from fftriccati.oracles import (care_ground_truth, radi_delta_check,
                                 random_care_instance, sda_care_init)
 from fftriccati.residuals import nres_care
@@ -23,7 +24,7 @@ def scalar_problem(a=-1.0, b=1.0, c=1.0):
 
 
 def dense_care_residual(P, X):
-    A = np.asarray(P.A, dtype=float)
+    A = P.A.toarray()
     return A.T @ X + X @ A - X @ P.B @ P.B.T @ X + P.C.T @ P.C
 
 
@@ -33,6 +34,16 @@ def laplacian_problem(n, m, l, seed=0):
                            [-1, 0, 1], format="csr")
     rng = np.random.default_rng(seed)
     return RiccatiProblem(A, rng.standard_normal((n, m)), rng.standard_normal((l, n)))
+
+
+def antistable_problem(n=50):
+    """-L (the antistable 1-D Laplacian) with m = l = 2 Gaussian inputs."""
+    P = laplacian_problem(n, 2, 2)
+    return RiccatiProblem(-P.A, P.B, P.C)
+
+
+# lambda_10 of -L at n = 50 (ascending, from 0): A - gamma I is singular to rounding
+NEAR_EIGENVALUE = 0.44183885094865916
 
 
 def assert_compressed(S, tau=1e-12):
@@ -108,6 +119,63 @@ class TestCayley:
         ss = cayley_transform(Ps, 1.3)
         assert np.linalg.norm(sd.Btilde - ss.Btilde) <= 1e-11
         assert np.linalg.norm(sd.Ctilde - ss.Ctilde) <= 1e-11
+
+
+class TestOneStorage:
+    """A is stored as CSR and every shifted solve is one SuperLU factorization
+    under ``linops.check_pivots``."""
+
+    @pytest.mark.parametrize("storage", [lambda A: A, scipy.sparse.csr_matrix.toarray],
+                             ids=["csr", "dense"])
+    def test_near_singular_shift_is_singular_shift(self, storage):
+        A = storage(antistable_problem().A)
+        with pytest.raises(SingularShift, match="A - gamma I is numerically singular"):
+            care.ShiftedSolver(A, NEAR_EIGENVALUE)
+
+    def test_near_singular_shift_retried_alike_in_both_storages(self, monkeypatch):
+        P = antistable_problem()
+        gammas = []
+        original = care.cayley_transform
+
+        def recording(Q, gamma, *args):
+            gammas.append(gamma)
+            return original(Q, gamma, *args)
+
+        def outcome(A):
+            gammas.clear()
+            try:
+                res = fta_care_solve(RiccatiProblem(A, P.B, P.C), gamma0=NEAR_EIGENVALUE,
+                                     t_per_round=8)
+                return gammas[:2], res.converged, res.factor.S.tobytes()
+            except FftRiccatiError as exc:
+                return gammas[:2], type(exc), str(exc)
+
+        monkeypatch.setattr(care, "cayley_transform", recording)
+        csr = outcome(P.A)
+        assert csr[0] == [NEAR_EIGENVALUE, 1.5 * NEAR_EIGENVALUE]
+        assert outcome(P.A.toarray()) == csr
+
+    def test_storages_solve_alike_at_a_safe_shift(self):
+        A, _, _ = random_care_instance(2, 10, 1, 1)
+        U = np.random.default_rng(3).standard_normal((10, 2))
+        V = 0.1 * np.random.default_rng(4).standard_normal((10, 2))
+        X = np.random.default_rng(5).standard_normal((10, 3))
+        dense = care.ShiftedSolver(A, 1.3, U, V)
+        sparse = care.ShiftedSolver(scipy.sparse.csr_matrix(A), 1.3, U, V)
+        M = A - U @ V.T - 1.3 * np.eye(10)
+        for a, b, ref in ((dense.solve(X), sparse.solve(X), np.linalg.solve(M, X)),
+                          (dense.rsolve(X.T), sparse.rsolve(X.T),
+                           np.linalg.solve(M.T, X).T)):
+            np.testing.assert_array_equal(a, b)  # one factorization for both
+            np.testing.assert_allclose(a, ref, rtol=0, atol=1e-12)
+
+    def test_nan_in_pcg_is_a_numerical_failure(self):
+        # the shift at lambda_max of -L drives the Gram systems to overflow (the
+        # warnings are expected); PCG's NaN residual must not reach
+        # solve_triangular as an input error
+        with np.errstate(all="ignore"), pytest.raises(FftRiccatiError):
+            fta_care_solve(antistable_problem(), gamma0=3.996206657474088,
+                           t_per_round=8, max_rounds=3)
 
 
 class TestSweep:

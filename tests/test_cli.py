@@ -207,7 +207,8 @@ class TestNumericalFailure:
         out = tmp_path / "zero"
         cfg = write_config(tmp_path, {
             "equation": equation, "a": paths["a"], "b": paths["b"],
-            "c": paths["c"], "gamma0": 1.0, "out_dir": str(out)})
+            "c": paths["c"], "out_dir": str(out),
+            **({"gamma0": 1.0} if equation == "care" else {})})
         assert main(["run", "--config", cfg]) == 0
         summary = json.loads((out / "summary.json").read_text())
         assert summary["rounds"] == 0
@@ -216,6 +217,19 @@ class TestNumericalFailure:
         # no factor rows: one zero row, so that S'S is the n x n zero matrix
         S = np.asarray(scipy.io.mmread(out / "factor.mtx"))
         np.testing.assert_array_equal(S, np.zeros((1, n)))
+
+
+    def test_nan_in_pcg_exits_3_with_summary(self, tmp_path):
+        # -L at n = 50 shifted at its lambda_max: the Gram systems overflow
+        a, b, c = generate_synthetic("laplacian1d_antistable", 50, 2, 2, 0, tmp_path)
+        out = tmp_path / "nan"
+        cfg = write_config(tmp_path, {
+            "equation": "care", "a": str(a), "b": str(b), "c": str(c),
+            "gamma0": 3.996206657474088, "t": 8, "max_rounds": 3, "out_dir": str(out)})
+        with np.errstate(all="ignore"):
+            assert main(["run", "--config", cfg]) == 3
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["converged"] is False and summary["rounds"] == 0
 
 
 class TestErrors:
@@ -289,6 +303,20 @@ class TestErrors:
             "c": paths["c"], "out_dir": str(tmp_path / "out")})
         assert main(["run", "--config", cfg]) == 1
         assert "A must be finite" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("body,flags,named", [
+        ({"gamma0": float("nan"), "shift_decay": float("inf")}, [],
+         "gamma0, shift_decay"),
+        ({"gamma0": None}, [], "gamma0"),
+        ({}, ["--gamma0", "1.5"], "gamma0")])
+    def test_care_only_keys_rejected_on_dare(self, tmp_path, capsys, body, flags, named):
+        paths = write_scalar_care(tmp_path, a=0.5)
+        cfg = write_config(tmp_path, {
+            "equation": "dare", "out_dir": str(tmp_path / "out"), **paths, **body})
+        assert main(["run", "--config", cfg] + flags) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].endswith("not used by a DARE run: " + named)
+        assert not (tmp_path / "out").exists()
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1, 2])

@@ -57,6 +57,23 @@ class TestProblem:
             RiccatiProblem(A, np.ones((3, 1)), np.ones((1, 3)))
 
 
+    def test_a_stored_as_csr(self):
+        A = np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 0.5], [0.0, 0.0, -2.0]])
+        P = RiccatiProblem(A, np.ones((3, 1)), np.ones((1, 3)))
+        assert P.A.format == "csr"
+        np.testing.assert_array_equal(P.A.toarray(), A)
+        A_csr = scipy.sparse.csr_matrix(A)
+        assert RiccatiProblem(A_csr, np.ones((3, 1)), np.ones((1, 3))).A is A_csr
+
+    def test_sparse_b_and_c_stored_dense(self):
+        B = np.array([[1.0], [0.0], [2.0]])
+        C = np.array([[0.0, 3.0, -1.0]])
+        P = RiccatiProblem(-np.eye(3), scipy.sparse.csr_matrix(B), scipy.sparse.coo_matrix(C))
+        assert isinstance(P.B, np.ndarray) and isinstance(P.C, np.ndarray)
+        np.testing.assert_array_equal(P.B, B)
+        np.testing.assert_array_equal(P.C, C)
+
+
 class TestKrylovStack:
     def test_t1(self):
         P = scalar_problem()

@@ -16,9 +16,9 @@ def dense_care_resid(P, X):
 
 
 def dense_dare_resid(P, X):
-    n = P.n
-    mid = np.linalg.solve(np.eye(n) + P.B @ P.B.T @ X, P.A)
-    return -X + P.A.T @ X @ mid + P.C.T @ P.C
+    n, A = P.n, P.A.toarray()
+    mid = np.linalg.solve(np.eye(n) + P.B @ P.B.T @ X, A)
+    return -X + A.T @ X @ mid + P.C.T @ P.C
 
 
 def psd_factor(X):

@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from fftriccati import toeplitz_inverse
+from fftriccati.errors import PcgFailure
+from fftriccati.pcg import PcgResult
 from fftriccati.toeplitz import BlockToeplitzSpec, densify
 from fftriccati.toeplitz_inverse import solve_sweep_systems
 
@@ -100,3 +103,15 @@ class TestTriangularFactor:
         assert np.array_equal(inv.R, np.triu(inv.R))
         Minv = np.linalg.inv(M)
         assert np.linalg.norm(inv.R.T @ inv.R - Minv) <= 1e-10 * np.linalg.norm(Minv)
+
+
+def test_nan_pcg_residual_is_pcg_failure(monkeypatch):
+    """NaN compares False with the floor; it must count as a missed column."""
+    def nan_pcg(op, precond, rhs, rel_tol, max_iter):
+        cols = rhs.shape[1]
+        return PcgResult(np.full(rhs.shape, np.nan), np.ones(cols, int),
+                         np.full(cols, np.nan), np.zeros(cols, bool))
+
+    monkeypatch.setattr(toeplitz_inverse, "pcg_solve", nan_pcg)
+    with pytest.raises(PcgFailure, match="worst rel. residual nan"):
+        solve_sweep_systems(care_col(np.random.default_rng(0), 4, 2, 2))
