@@ -13,7 +13,7 @@ from .oracles import (care_ground_truth, dare_ground_truth, dre_dense,
                       min_eig_difference, radi_delta_check,
                       random_care_instance, random_dare_instance, sda_dense)
 from .pcg import BlockCirculantPreconditioner, GramOperator, pcg_solve
-from .residuals import ResidualReport, nres_care, nres_dare
+from .residuals import nres_care, nres_dare, nres_factor
 from .toeplitz import BlockToeplitzSpec, bt_apply, bt_apply_transpose, densify
 from .toeplitz_inverse import StructuredInverse, solve_sweep_systems
 

@@ -14,11 +14,11 @@ factor, stacks the rest on it, and decays the shift.  The stack is
 compressed only when its row count doubles since its last compression, so a
 compression's cost is amortised over the rounds that grew it.
 
-Each round's residual comes from that factor: ||C_k C_k'||_F / ||CC'||_F
-costs O(l^2 n).  It misses only the compression error, so the exact
-``nres_care`` (a QR of the whole low-rank stack) runs, on the freshly
-compressed stack, only in a round whose cheap value reaches the stop and in
-the last round, and decides: the loop goes on if it is above.
+Each round's residual comes from that factor: ``nres_factor`` costs O(l^2 n).
+It misses only the compression error, so the exact ``nres_care`` (a QR of
+the whole low-rank stack) runs, on the freshly compressed stack, only in a
+round whose cheap value reaches the stop and in the last round, and decides:
+the loop goes on if it is above.
 """
 
 from dataclasses import dataclass
@@ -28,11 +28,11 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dare import (LowRankFactor, _drive, _krylov_stack, _truncate,
-                   compress_factor)
+from .dare import (LowRankFactor, _check_sweep_settings, _drive, _krylov_stack,
+                   _truncate, compress_factor)
 from .errors import SingularShift
 from .linops import check_pivots, lu
-from .residuals import _cc_norm, nres_care
+from .residuals import nres_care, nres_factor
 from .toeplitz import BlockToeplitzSpec
 from .toeplitz_inverse import solve_sweep_systems
 
@@ -155,7 +155,6 @@ def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
     S_acc = np.zeros((0, P.n))
     rank = 0  # rows of S_acc at its last compression; rows below it are new
     C_round = P.C.copy()
-    cc = _cc_norm(P.C)
     for rnd in range(1, max_rounds + 1):
         feedback = (P.B, S_acc.T @ (S_acc @ P.B))  # zero in round 1
         try:
@@ -170,15 +169,15 @@ def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
         S_acc = np.vstack([S_acc, rows])
         rows_in = S_acc.shape[0]
         C_round = residual_factor(sys, sweep, C_round)
-        nres_factor = _cc_norm(C_round) / cc
-        check = nres_factor <= stop or rnd == max_rounds
+        cheap = nres_factor(C_round, P)
+        check = cheap <= stop or rnd == max_rounds
         if rows_in > rank and (check or rows_in >= 2 * rank):
             S_acc = compress_factor(LowRankFactor(S_acc), tau).S
             rank = S_acc.shape[0]
         # the factor's norm misses the compression error: confirm exactly
-        nres = nres_care(LowRankFactor(S_acc), P).nres if check else nres_factor
+        nres = nres_care(LowRankFactor(S_acc), P) if check else cheap
         yield LowRankFactor(S_acc), dict(t=t, gamma=gamma, nres=nres, rank=S_acc.shape[0],
-                                         nres_factor=nres_factor, rows_in=rows_in)
+                                         nres_factor=cheap, rows_in=rows_in)
         gamma /= shift_decay
 
 
@@ -201,5 +200,6 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     """
     if not 1.0 <= shift_decay < np.inf:
         raise ValueError("shift_decay must be >= 1 and finite")
+    _check_sweep_settings(t_per_round, tau)
     return _drive(P, _care_rounds(P, gamma0, t_per_round, shift_decay, tau, stop,
                                   max_rounds), stop, max_rounds, "rounds")

@@ -25,8 +25,7 @@ import scipy.sparse
 
 from .care import fta_care_solve
 from .dare import RiccatiProblem, SolveResult, fta_dare_solve
-from .errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
-                     ParseError)
+from .errors import FftRiccatiError, NoConvergence, ParseError
 
 _NUMBER = (int, float)
 # key: (default, accepted types, description); bool is rejected although it is an int
@@ -130,6 +129,9 @@ def _write_outputs(out_dir, equation, n, result, total_ms):
 
 def run(cfg):
     """Execute one configured solve; returns the process exit code."""
+    # an input error (exit 1) must not leave an earlier run's artifacts looking current
+    for name in ("summary.json", "trace.csv", "factor.mtx"):
+        Path(cfg["out_dir"], name).unlink(missing_ok=True)
     problem = load_problem(cfg)
     tic = time.perf_counter()
     failure_code = 2
@@ -145,8 +147,6 @@ def run(cfg):
                 stop=float(cfg["stop_tol"]), max_restarts=int(cfg["max_rounds"]))
     except NoConvergence as exc:
         result = SolveResult(exc.factor, exc.history or [], False, str(exc))
-    except DimensionMismatch:
-        raise
     except FftRiccatiError as exc:
         result = SolveResult(None, [], False, "%s: %s" % (type(exc).__name__, exc))
         failure_code = 3

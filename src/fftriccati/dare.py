@@ -136,6 +136,14 @@ class SolveResult:
         return iter((self.factor, self.history))
 
 
+def _check_sweep_settings(t, tau):
+    """A solve's t >= 1 and tau in [0, 1) (NaN fails both), checked before any work."""
+    if not t >= 1:
+        raise ValueError("t must be >= 1")
+    if not 0.0 <= tau < 1.0:
+        raise ValueError("tau must lie in [0, 1)")
+
+
 def _drive(P, rounds, stop, max_rounds, unit):
     """The outer loop of both solvers: time and record what the generator
     ``rounds`` yields, (factor, the RoundRecord fields but round and ms), until
@@ -280,11 +288,12 @@ def _dare_rounds(P, t, tau):
     raw = base[2]
     while True:
         factor = compress_factor(LowRankFactor(raw), tau)
-        yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P).nres,
+        yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P),
                            rank=factor.r, rows_in=raw.shape[0])
         raw = np.vstack([base[2], _initial_term(P, base, factor.S, t)])
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
     """Restarted sweeps until nres_dare <= stop; unpacks as (factor, history)."""
+    _check_sweep_settings(t_per_restart, tau)
     return _drive(P, _dare_rounds(P, t_per_restart, tau), stop, max_restarts, "restarts")

@@ -149,7 +149,7 @@ def radi_delta_check(P, X_factor, Ct, gamma):
     if P.n > 64:
         raise DimensionMismatch("radi_delta_check is a small-instance utility (n <= 64)")
     Ct = np.atleast_2d(np.asarray(Ct, dtype=float))
-    X = X_factor.gram() if hasattr(X_factor, "gram") else np.asarray(X_factor, float)
+    X = X_factor.gram()
     A = to_dense(P.A)
     At = A - P.B @ (P.B.T @ X) - gamma * np.eye(P.n)
     CtAinv = scipy.linalg.lu_solve(lu(At, SingularShift, "A - BB'X - gamma I"),

@@ -8,12 +8,11 @@ cancellation) — no n x n matrix is ever formed.  R comes from
 ``linops.qr_r`` (blocked LAPACK dgeqrt, Q never formed).
 
 The CARE loop calls ``nres_care`` only to confirm a stop (and once on a
-capped run); every round it uses ``_cc_norm`` of its residual factor C_k,
+capped run); every round it calls ``nres_factor`` of its residual factor C_k,
 whose C_k'C_k is the residual before compression.  DARE restarts have no
-residual factor and call ``nres_dare`` every restart.
+residual factor and call ``nres_dare`` every restart.  All three return the
+residual relative to ||C'C||_F as a float.
 """
-
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -22,47 +21,32 @@ from .errors import DimensionMismatch, ZeroRhs
 from .linops import chol, qr_r, rowmul
 
 
-@dataclass(frozen=True)
-class ResidualReport:
-    nres: float
-    absolute_frobenius: float
-    gram_dim: int
-
-
-def _factor_rows(S):
-    return S.S if hasattr(S, "S") else np.atleast_2d(np.asarray(S, dtype=float))
-
-
 def _cc_norm(C):
     """||C'C||_F computed as ||CC'||_F on the small side."""
     G = C @ C.T
     return float(np.sqrt(np.sum(G * G)))
 
 
-def _stack_frobenius(K, M):
-    """||K' M K||_F as ||R M R'||_F from a thin QR K' = QR."""
-    R = qr_r(K.T)
-    return float(np.linalg.norm(R @ M @ R.T))
+def _rhs_norm(P):
+    """||C'C||_F, the scale of every relative residual."""
+    if not np.any(P.C):
+        raise ZeroRhs("C = 0: relative residual undefined")
+    return _cc_norm(P.C)
 
 
 def _relative_residual(factor, P, coupling):
-    """Report for K' M K with K = [C; S; SA], M = diag(I_l, coupling(SB)), X = S'S."""
-    S = _factor_rows(factor)
-    C = P.C
-    if not np.any(C):
-        raise ZeroRhs("C = 0: relative residual undefined")
+    """||K'MK||_F / ||C'C||_F as ||RMR'||_F / ||C'C||_F from a thin QR K' = QR,
+    where K = [C; S; SA], M = diag(I, coupling(SB)) and X = S'S."""
+    S = factor.S
+    cc = _rhs_norm(P)
     if not S.size:
         S = np.zeros((0, P.n))
     elif S.shape[1] != P.n:
         raise DimensionMismatch("factor has %d columns, n = %d" % (S.shape[1], P.n))
-    l = C.shape[0]
-    K = np.vstack([C, S, rowmul(S, P.A)])
-    d = K.shape[0]
-    M = np.zeros((d, d))
-    M[:l, :l] = np.eye(l)
-    M[l:, l:] = coupling(S @ P.B)
-    frob = _stack_frobenius(K, M)
-    return ResidualReport(frob / _cc_norm(C), frob, d)
+    K = np.vstack([P.C, S, rowmul(S, P.A)])
+    M = scipy.linalg.block_diag(np.eye(P.l), coupling(S @ P.B))
+    R = qr_r(K.T)
+    return float(np.linalg.norm(R @ M @ R.T)) / cc
 
 
 def _care_coupling(SB):
@@ -75,6 +59,11 @@ def _dare_coupling(SB):
     L = chol(np.eye(r) + SB @ SB.T, "I + (SB)(SB)'")
     Ninv = scipy.linalg.cho_solve((L, True), np.eye(r))
     return np.block([[-np.eye(r), np.zeros((r, r))], [np.zeros((r, r)), 0.5 * (Ninv + Ninv.T)]])
+
+
+def nres_factor(C_k, P):
+    """Relative residual C_k'C_k of a residual factor: ||C_k C_k'||_F / ||C'C||_F."""
+    return _cc_norm(C_k) / _rhs_norm(P)
 
 
 def nres_care(factor, P):

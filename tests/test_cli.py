@@ -8,7 +8,7 @@ import scipy.io
 
 from fftriccati.cli import generate_synthetic, main
 from fftriccati.residuals import nres_care
-from fftriccati.dare import RiccatiProblem
+from fftriccati.dare import LowRankFactor, RiccatiProblem
 
 
 def write_matrices(tmp_path, a, b, c):
@@ -93,7 +93,7 @@ class TestRun:
         assert abs(x - (np.sqrt(2.0) - 1.0)) <= 1e-8
         # emitted nres is recomputable from the emitted factor
         P = RiccatiProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-        assert abs(summary["final_nres"] - nres_care(S, P).nres) <= 1e-12
+        assert abs(summary["final_nres"] - nres_care(LowRankFactor(S), P)) <= 1e-12
         trace = (out / "trace.csv").read_text().strip().splitlines()
         assert trace[0] == "round,t,gamma,nres,rank,ms"
         assert len(trace) == summary["rounds"] + 1
@@ -136,7 +136,7 @@ class TestRun:
         S = np.atleast_2d(np.asarray(scipy.io.mmread(out / "factor.mtx")))
         P = RiccatiProblem(scipy.io.mmread(a).tocsr(), scipy.io.mmread(b),
                            scipy.io.mmread(c))
-        assert abs(summary["final_nres"] - nres_care(S, P).nres) <= 1e-12
+        assert abs(summary["final_nres"] - nres_care(LowRankFactor(S), P)) <= 1e-12
 
     def test_dare_run_matches_library(self, tmp_path):
         rng = np.random.default_rng(3)
@@ -317,6 +317,34 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].endswith("not used by a DARE run: " + named)
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    @pytest.mark.parametrize("key,value", [("tau", 2.0), ("t", 0)])
+    def test_bad_setting_rejected_with_zero_rhs(self, tmp_path, capsys, equation,
+                                                key, value):
+        # C = 0 would converge at once; the setting is still checked first
+        paths = write_matrices(tmp_path, -0.5 * np.eye(3), np.ones((3, 1)),
+                               np.zeros((1, 3)))
+        cfg = write_config(tmp_path, {
+            "equation": equation, key: value, "out_dir": str(tmp_path / "out"),
+            **paths})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: %s must" % key)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key,value", [("a", "ghost.mtx"), ("tau", 2.0)])
+    def test_input_error_removes_earlier_artifacts(self, tmp_path, key, value):
+        paths = write_scalar_care(tmp_path)
+        out = tmp_path / "out"
+        body = {"equation": "care", "gamma0": 1.0, "t": 8, "out_dir": str(out), **paths}
+        assert main(["run", "--config", write_config(tmp_path, body)]) == 0
+        names = ("summary.json", "trace.csv", "factor.mtx")
+        assert all((out / name).exists() for name in names)
+        body[key] = str(tmp_path / value) if key == "a" else value
+        cfg = write_config(tmp_path, body, name="bad.json")
+        assert main(["run", "--config", cfg]) == 1
+        assert not any((out / name).exists() for name in names)
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1, 2])

@@ -287,6 +287,20 @@ class TestSolve:
         with pytest.raises(ValueError, match="stop"):
             fta_dare_solve(scalar_problem(0.5), stop=stop)
 
+    @pytest.mark.xfail(raises=AssertionError, strict=True,
+                       reason="nres rises every restart, 3.1e-5 to 8.4e-4, and the "
+                              "last factor is carried (ROADMAP items 8 and 9)")
+    def test_rising_restarts_carry_no_worse_factor_than_restart_one(self):
+        # 4 unstable modes, closed-loop spectral radius 0.9996;
+        # solve_discrete_are reaches nres 4.67e-13 on this instance
+        P = RiccatiProblem(*random_dare_instance(0, 200, 3, 3, radius=1.02))
+        try:
+            factor, history = fta_dare_solve(P, t_per_restart=32, stop=1e-10,
+                                             max_restarts=8)
+        except NoConvergence as exc:
+            factor, history = exc.factor, exc.history
+        assert nres_dare(factor, P) <= history[0].nres
+
     def test_scalar_converges_to_positive_root(self):
         P = scalar_problem(0.5, 1.0, 1.0)
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
@@ -342,7 +356,7 @@ class TestSolve:
             assert rec.nres_factor is None  # restarts carry no residual factor
         # nres recomputable from the returned factor
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
-        assert abs(history[-1].nres - nres_dare(factor, P).nres) <= 1e-12
+        assert abs(history[-1].nres - nres_dare(factor, P)) <= 1e-12
 
 
     def test_rows_in_is_base_rows_plus_previous_rank(self):
@@ -388,7 +402,7 @@ class TestSolveBuildsSweepOnce:
         for k, rec in enumerate(history):
             if k:
                 chain = compress_factor(fta_dare_arbitrary(P, chain.S, t), tau)
-            assert rec.nres == nres_dare(chain, P).nres
+            assert rec.nres == nres_dare(chain, P)
             assert rec.rank == chain.r
         assert np.array_equal(factor.S, chain.S)
 

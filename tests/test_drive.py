@@ -6,7 +6,7 @@ import weakref
 import numpy as np
 import pytest
 
-from fftriccati import SolveResult
+from fftriccati import SolveResult, care, dare
 from fftriccati.care import fta_care_solve
 from fftriccati.dare import LowRankFactor, RiccatiProblem, _drive, fta_dare_solve
 from fftriccati.errors import NoConvergence
@@ -38,6 +38,26 @@ class TestSolveResult:
         result = solve(equation, P)
         assert result.converged and result.factor.r == 0 and result.history == []
         assert result.note == "zero right-hand side (ZeroRhs)"
+
+
+class TestSettingsCheckedFirst:
+    @EQUATIONS
+    @pytest.mark.parametrize("zero_c", [False, True], ids=["c", "zero-c"])
+    @pytest.mark.parametrize("t,tau", [(8, 2.0), (8, -1.0), (8, float("nan")), (0, 1e-12)],
+                             ids=["tau2", "tau-1", "tau-nan", "t0"])
+    def test_bad_t_or_tau_raises_before_any_work(self, monkeypatch, equation, zero_c,
+                                                 t, tau):
+        calls = []
+        monkeypatch.setattr(care, "cayley_transform", lambda *a: calls.append(a))
+        monkeypatch.setattr(dare, "build_krylov_stack", lambda *a: calls.append(a))
+        A, B, C = INSTANCES[equation]()
+        P = RiccatiProblem(A, B, 0.0 * C if zero_c else C)
+        with pytest.raises(ValueError, match="^(t|tau) must"):
+            if equation == "care":
+                fta_care_solve(P, gamma0=1.0, t_per_round=t, tau=tau)
+            else:
+                fta_dare_solve(P, t_per_restart=t, tau=tau)
+        assert calls == []
 
 
 class TestRecords:

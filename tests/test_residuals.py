@@ -4,11 +4,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+from fftriccati.care import cayley_transform, fta_care_sweep, residual_factor
 from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, ZeroRhs
 from fftriccati.oracles import (min_eig_difference, random_care_instance,
                                 random_dare_instance)
-from fftriccati.residuals import ResidualReport, nres_care, nres_dare
+from fftriccati.residuals import nres_care, nres_dare, nres_factor
 
 
 def dense_care_resid(P, X):
@@ -32,16 +33,14 @@ class TestCare:
     def test_zero_factor_gives_one(self):
         A, B, C = random_care_instance(0, 8, 1, 2)
         P = RiccatiProblem(A, B, C)
-        rep = nres_care(LowRankFactor(np.zeros((0, 8))), P)
-        assert rep.nres == pytest.approx(1.0, abs=1e-14)
-        assert rep.gram_dim == 2
+        assert nres_care(LowRankFactor(np.zeros((0, 8))), P) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_closed_form(self):
         # a=-1, b=c=1 at x=0.4: residual -0.8 - 0.16 + 1 = 0.04
         P = RiccatiProblem(np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-        rep = nres_care(LowRankFactor(np.array([[np.sqrt(0.4)]])), P)
-        assert rep.absolute_frobenius == pytest.approx(0.04, abs=1e-14)
-        assert rep.nres == pytest.approx(0.04, abs=1e-14)
+        nres = nres_care(LowRankFactor(np.array([[np.sqrt(0.4)]])), P)
+        assert nres * np.linalg.norm(P.C.T @ P.C) == pytest.approx(0.04, abs=1e-14)
+        assert nres == pytest.approx(0.04, abs=1e-14)
 
     def test_matches_dense_evaluation(self):
         for seed, n, r in ((1, 12, 3), (2, 24, 5), (3, 48, 8)):
@@ -49,11 +48,11 @@ class TestCare:
             P = RiccatiProblem(A, B, C)
             rng = np.random.default_rng(100 + seed)
             S = rng.standard_normal((r, n)) / np.sqrt(n)
-            rep = nres_care(LowRankFactor(S), P)
+            nres = nres_care(LowRankFactor(S), P)
             dense = np.linalg.norm(dense_care_resid(P, S.T @ S))
             denom = np.linalg.norm(C.T @ C)
-            assert abs(rep.absolute_frobenius - dense) <= 1e-11 * max(1.0, dense)
-            assert abs(rep.nres - dense / denom) <= 1e-11
+            assert abs(nres * denom - dense) <= 1e-11 * max(1.0, dense)
+            assert abs(nres - dense / denom) <= 1e-11
 
     @pytest.mark.parametrize("n", [50, 200])
     def test_exact_at_dense_solution(self, n):
@@ -64,10 +63,10 @@ class TestCare:
         C = rng.standard_normal((2, n))
         P = RiccatiProblem(A, B, C)
         S = psd_factor(scipy.linalg.solve_continuous_are(A, B, C.T @ C, np.eye(2)))
-        rep = nres_care(LowRankFactor(S), P)
+        nres = nres_care(LowRankFactor(S), P)
         dense = np.linalg.norm(dense_care_resid(P, S.T @ S)) / np.linalg.norm(C.T @ C)
-        assert rep.nres > 0.0
-        assert abs(rep.nres - dense) <= 1e-12
+        assert nres > 0.0
+        assert abs(nres - dense) <= 1e-12
 
     def test_zero_c_raises(self):
         P = RiccatiProblem(-np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
@@ -80,27 +79,19 @@ class TestCare:
         with pytest.raises(DimensionMismatch):
             nres_care(LowRankFactor(np.ones((2, 5))), P)
 
-    def test_accepts_plain_arrays(self):
-        A, B, C = random_care_instance(5, 6, 1, 1)
-        P = RiccatiProblem(A, B, C)
-        S = np.zeros((1, 6))
-        rep = nres_care(S, P)
-        assert rep.nres == pytest.approx(1.0, abs=1e-14)
-
 
 class TestDare:
     def test_zero_factor_gives_one(self):
         A, B, C = random_dare_instance(0, 8, 1, 2)
         P = RiccatiProblem(A, B, C)
-        rep = nres_dare(LowRankFactor(np.zeros((0, 8))), P)
-        assert rep.nres == pytest.approx(1.0, abs=1e-14)
+        assert nres_dare(LowRankFactor(np.zeros((0, 8))), P) == pytest.approx(1.0, abs=1e-14)
 
     def test_scalar_second_iterate(self):
         # a=b=c=1 at x=1.5: -1.5 + 1.5/2.5 + 1 = 0.1
         P = RiccatiProblem(np.array([[1.0]]), np.array([[1.0]]), np.array([[1.0]]))
-        rep = nres_dare(LowRankFactor(np.array([[np.sqrt(1.5)]])), P)
-        assert rep.absolute_frobenius == pytest.approx(0.1, abs=1e-13)
-        assert rep.nres == pytest.approx(0.1, abs=1e-13)
+        nres = nres_dare(LowRankFactor(np.array([[np.sqrt(1.5)]])), P)
+        assert nres * np.linalg.norm(P.C.T @ P.C) == pytest.approx(0.1, abs=1e-13)
+        assert nres == pytest.approx(0.1, abs=1e-13)
 
     def test_matches_dense_evaluation(self):
         for seed, n, r in ((1, 12, 3), (2, 24, 6), (3, 48, 10)):
@@ -108,21 +99,21 @@ class TestDare:
             P = RiccatiProblem(A, B, C)
             rng = np.random.default_rng(200 + seed)
             S = rng.standard_normal((r, n)) / np.sqrt(n)
-            rep = nres_dare(LowRankFactor(S), P)
+            nres = nres_dare(LowRankFactor(S), P)
             dense = np.linalg.norm(dense_dare_resid(P, S.T @ S))
             denom = np.linalg.norm(C.T @ C)
-            assert abs(rep.absolute_frobenius - dense) <= 1e-11 * max(1.0, dense)
-            assert abs(rep.nres - dense / denom) <= 1e-11
+            assert abs(nres * denom - dense) <= 1e-11 * max(1.0, dense)
+            assert abs(nres - dense / denom) <= 1e-11
 
     @pytest.mark.parametrize("n", [30, 60])
     def test_exact_at_dense_solution(self, n):
         A, B, C = random_dare_instance(n, n, 2, 2)
         P = RiccatiProblem(A, B, C)
         S = psd_factor(scipy.linalg.solve_discrete_are(A, B, C.T @ C, np.eye(2)))
-        rep = nres_dare(LowRankFactor(S), P)
+        nres = nres_dare(LowRankFactor(S), P)
         dense = np.linalg.norm(dense_dare_resid(P, S.T @ S)) / np.linalg.norm(C.T @ C)
-        assert rep.nres > 0.0
-        assert abs(rep.nres - dense) <= 1e-12
+        assert nres > 0.0
+        assert abs(nres - dense) <= 1e-12
 
     def test_zero_c_raises(self):
         P = RiccatiProblem(0.5 * np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
@@ -132,10 +123,28 @@ class TestDare:
     def test_report_fields(self):
         A, B, C = random_dare_instance(4, 6, 1, 1)
         P = RiccatiProblem(A, B, C)
-        rep = nres_dare(LowRankFactor(np.ones((2, 6)) * 0.1), P)
-        assert isinstance(rep, ResidualReport)
-        assert rep.gram_dim == 1 + 2 * 2
-        assert rep.nres >= 0.0 and np.isfinite(rep.absolute_frobenius)
+        nres = nres_dare(LowRankFactor(np.ones((2, 6)) * 0.1), P)
+        assert nres >= 0.0 and np.isfinite(nres)
+
+
+class TestResidualFactor:
+    """nres_factor(C_k, P) reads the residual C_k'C_k of a CARE sweep."""
+
+    @pytest.mark.parametrize("problem,gamma,t", [
+        (lambda: (np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]])), 1.0, 4),
+        (lambda: random_care_instance(3, 40, 2, 2), 1.0, 8)])
+    def test_matches_exact_residual_of_uncompressed_sweep(self, problem, gamma, t):
+        P = RiccatiProblem(*problem())
+        sys = cayley_transform(P, gamma)
+        sweep = fta_care_sweep(sys, t)
+        exact = nres_care(sweep.factor, P)
+        assert nres_factor(residual_factor(sys, sweep, P.C), P) \
+            == pytest.approx(exact, rel=1e-9)
+
+    def test_zero_c_raises(self):
+        P = RiccatiProblem(-np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
+        with pytest.raises(ZeroRhs):
+            nres_factor(np.ones((1, 2)), P)
 
 
 class TestMinEigDifference:
