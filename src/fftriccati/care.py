@@ -29,7 +29,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from .dare import (LowRankFactor, _check_sweep_settings, _drive, _krylov_stack,
-                   _truncate, compress_factor)
+                   compress_factor)
 from .errors import SingularShift
 from .linops import check_pivots, lu
 from .residuals import nres_care, nres_factor
@@ -165,7 +165,7 @@ def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
         sweep = fta_care_sweep(sys, t)
         rows = sweep.factor.S
         if rank:  # compressed rows come first, sorted: row 0's norm is sigma_max
-            rows = _truncate(rows, tau, np.linalg.norm(S_acc[0]))
+            rows = compress_factor(sweep.factor, tau, np.linalg.norm(S_acc[0])).S
         S_acc = np.vstack([S_acc, rows])
         rows_in = S_acc.shape[0]
         C_round = residual_factor(sys, sweep, C_round)
@@ -185,14 +185,14 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
                    stop=1e-8, max_rounds=40):
     """Incorporation loop: sweep, truncate, stack, compress, decay the shift.
 
-    From round 2 on, the sweep's rows are truncated alone at tau * ||S_acc[0]||
-    before they are stacked; ``residual_factor`` takes them untruncated.
-    S_acc[0] is row 0 of the last compressed factor, so its norm is that
-    factor's sigma_max, which X only outgrows.  ``compress_factor`` runs on
-    the stack when its rows reach twice the rank of its last compression (so
-    in round 1), before an exact residual and before the factor leaves the
-    loop.  A round's two truncations move X by at most 2 tau^2 ||X||_2.  The
-    feedback reads the stack as it stands.
+    From round 2 on, ``compress_factor`` cuts the sweep's rows alone at
+    tau * ||S_acc[0]|| before they are stacked; ``residual_factor`` takes them
+    uncut.  S_acc[0] is row 0 of the last compressed factor, so its norm is
+    that factor's sigma_max, which X only outgrows.  The stack is compressed
+    when its rows reach twice the rank of its last compression (so in round
+    1), before an exact residual and before the factor leaves the loop.  A
+    round's two truncations move X by at most 2 tau^2 ||X||_2.  The feedback
+    reads the stack as it stands.
 
     Converged means the exact ``nres_care`` is <= stop; each record's ``nres``
     is the value its stop test used, ``nres_factor`` the residual factor's,
@@ -200,6 +200,8 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     """
     if not 1.0 <= shift_decay < np.inf:
         raise ValueError("shift_decay must be >= 1 and finite")
+    if gamma0 is not None and not 0.0 < gamma0 < np.inf:
+        raise ValueError("gamma0 must be positive and finite")
     _check_sweep_settings(t_per_round, tau)
     return _drive(P, _care_rounds(P, gamma0, t_per_round, shift_decay, tau, stop,
                                   max_rounds), stop, max_rounds, "rounds")

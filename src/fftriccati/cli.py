@@ -56,8 +56,11 @@ def _read_matrix(path, what):
 
 
 def load_config(args):
+    """The run's config; once its out_dir is known, before any other check,
+    an earlier run's artifacts there are deleted, so an input error (exit 1)
+    does not leave them looking current."""
     cfg = {key: default for key, (default, _, _) in _KEYS.items()}
-    named = set()  # keys set by the config or a flag
+    user = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -70,16 +73,19 @@ def load_config(args):
         if not isinstance(user, dict):
             raise ParseError("config %s must be a JSON object, got %s"
                              % (args.config, type(user).__name__))
-        unknown = set(user) - set(cfg)
-        if unknown:
-            raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
         cfg.update(user)
-        named = set(user)
+    named = set(user)  # keys set by the config or a flag
     for key in ("equation", "gamma0", "t", "stop_tol", "max_rounds", "out_dir"):
         val = getattr(args, key, None)
         if val is not None:
             cfg[key] = val
             named.add(key)
+    if isinstance(cfg["out_dir"], str):
+        for name in ("summary.json", "trace.csv", "factor.mtx"):
+            Path(cfg["out_dir"], name).unlink(missing_ok=True)
+    unknown = set(user) - set(_KEYS)
+    if unknown:
+        raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
     if cfg["equation"] not in ("dare", "care"):
         raise ParseError("equation must be 'dare' or 'care'")
     care_only = sorted(named & {"gamma0", "shift_decay"})
@@ -129,9 +135,6 @@ def _write_outputs(out_dir, equation, n, result, total_ms):
 
 def run(cfg):
     """Execute one configured solve; returns the process exit code."""
-    # an input error (exit 1) must not leave an earlier run's artifacts looking current
-    for name in ("summary.json", "trace.csv", "factor.mtx"):
-        Path(cfg["out_dir"], name).unlink(missing_ok=True)
     problem = load_problem(cfg)
     tic = time.perf_counter()
     failure_code = 2

@@ -254,32 +254,27 @@ def fta_dare_arbitrary(P, Gamma, t):
     return LowRankFactor(np.vstack([base[2], _initial_term(P, base, Gamma, t)]))
 
 
-def _truncate(S, tau, sigma_max=None):
-    """U_keep'S for S's singular values above tau * sigma_max (default: S's own).
+def compress_factor(factor, tau, sigma_max=None):
+    """Rank-truncated factor: the directions of S with singular values above
+    tau * sigma_max (default: S's own largest), as U_keep'S.
 
-    With S' = QR (R only; Q is never formed) and R' = U diag(sv) W', the
-    kept rows U_keep'S = diag(sv) (QW)_keep' are mutually orthogonal with
-    norms sv, sorted.  The SVD is of the small square R', so the cost is one
-    thin QR and one GEMM against S instead of an SVD of the full stack.
-    """
-    if not np.all(np.isfinite(S)):
-        raise StackBlowup("factor to compress has non-finite entries")
-    if S.shape[0] == 0 or not np.any(S):
-        return np.zeros((0, S.shape[1]))
-    R = qr_r(S.T)
-    u, sv, _ = np.linalg.svd(R.T, full_matrices=False)
-    keep = sv > tau * (sv[0] if sigma_max is None else sigma_max)
-    return u[:, keep].T @ S
-
-
-def compress_factor(factor, tau):
-    """Rank-truncated factor; discarded singular values are <= tau * sigma_max.
-
-    ``_truncate`` at the stack's own sigma_max: row 0's norm is sigma_max.
+    The kept rows are mutually orthogonal, sorted by norm, and their norms are
+    the kept singular values, so without a sigma_max row 0's norm is sigma_max.
+    With S' = QR (R only; Q is never formed) and R' = U diag(sv) W', the rows
+    are U_keep'S = diag(sv) (QW)_keep'; the SVD is of the small square R', so
+    the cost is one thin QR and one GEMM against S.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
-    return LowRankFactor(_truncate(factor.S, tau))
+    S = factor.S
+    if not np.all(np.isfinite(S)):
+        raise StackBlowup("factor to compress has non-finite entries")
+    if S.shape[0] == 0 or not np.any(S):
+        return LowRankFactor(np.zeros((0, S.shape[1])))
+    R = qr_r(S.T)
+    u, sv, _ = np.linalg.svd(R.T, full_matrices=False)
+    keep = sv > tau * (sv[0] if sigma_max is None else sigma_max)
+    return LowRankFactor(u[:, keep].T @ S)
 
 
 def _dare_rounds(P, t, tau):

@@ -16,8 +16,6 @@ import numpy as np
 
 from .errors import DimensionMismatch
 
-_CHUNK_BUDGET = 1 << 22  # complex workspace entries per FFT batch
-
 
 @dataclass(frozen=True)
 class BlockToeplitzSpec:
@@ -66,19 +64,10 @@ def _as_blocks(X, p, t):
 def _conv_lower(col, Xb):
     """Truncated block convolution: out[k] = sum_{i<=k} col[i] @ Xb[k-i]."""
     t = col.shape[0]
-    q = Xb.shape[2]
     length = next_pow2(2 * t - 1)
-    fcol = np.fft.rfft(col, length, axis=0)
-    nfreq = fcol.shape[0]
-    # keep the per-batch complex workspace bounded for wide right-hand sides
-    chunk = max(1, _CHUNK_BUDGET // (nfreq * max(col.shape[1], col.shape[2])))
-    out = np.empty((t, col.shape[1], q))
-    for lo in range(0, q, chunk):
-        hi = min(q, lo + chunk)
-        fx = np.fft.rfft(Xb[:, :, lo:hi], length, axis=0)
-        prod = fcol @ fx
-        out[:, :, lo:hi] = np.fft.irfft(prod, length, axis=0)[:t]
-    return out
+    prod = np.fft.rfft(col, length, axis=0) @ np.fft.rfft(Xb, length, axis=0)
+    # a copy: a view of the t blocks would keep all `length` of them alive
+    return np.fft.irfft(prod, length, axis=0)[:t].copy()
 
 
 def bt_apply(spec, X):

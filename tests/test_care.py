@@ -363,14 +363,38 @@ class TestSolve:
         calls = []
         original = care.compress_factor
 
-        def counted(factor, tau):
-            calls.append(factor.r)
-            return original(factor, tau)
+        def counted(factor, tau, sigma_max=None):
+            if sigma_max is None:  # a stack compression, not a new-row cut
+                calls.append(factor.r)
+            return original(factor, tau, sigma_max)
 
         monkeypatch.setattr(care, "compress_factor", counted)
         P = laplacian_problem(3000, 4, 4)
         history = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6).history
         assert 3 * len(calls) <= len(history)
+
+    def test_new_rows_cut_once_per_round_after_the_first(self, monkeypatch):
+        # round 1 has no accumulated factor; every later round cuts its sweep
+        # rows against sigma_max of the last compressed one
+        floors = []
+        original = care.compress_factor
+
+        def counted(factor, tau, sigma_max=None):
+            if sigma_max is not None:
+                floors.append(sigma_max)
+            return original(factor, tau, sigma_max)
+
+        monkeypatch.setattr(care, "compress_factor", counted)
+        P = laplacian_problem(3000, 4, 4)
+        history = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6).history
+        assert len(floors) == len(history) - 1
+
+    @pytest.mark.parametrize("gamma0", [np.nan, -1.0, 0.0, np.inf])
+    def test_bad_gamma0_rejected_with_zero_c(self, gamma0):
+        # C = 0 would converge at once; the shift is still checked first
+        P = RiccatiProblem(-np.eye(3), np.ones((3, 1)), np.zeros((1, 3)))
+        with pytest.raises(ValueError, match="gamma0 must be positive and finite"):
+            fta_care_solve(P, gamma0=gamma0)
 
     def test_result_unpacks_as_pair(self):
         factor, history = fta_care_solve(scalar_problem(), gamma0=1.0,
@@ -544,9 +568,10 @@ class TestStopTest:
         calls = []
         original = care.compress_factor
 
-        def counted(factor, tau):
-            calls.append(factor.r)
-            return original(factor, tau)
+        def counted(factor, tau, sigma_max=None):
+            if sigma_max is None:  # a stack compression, not a new-row cut
+                calls.append(factor.r)
+            return original(factor, tau, sigma_max)
 
         monkeypatch.setattr(care, "compress_factor", counted)
         factors = []

@@ -333,7 +333,11 @@ class TestErrors:
         assert len(err) == 1 and err[0].startswith("error: %s must" % key)
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("key,value", [("a", "ghost.mtx"), ("tau", 2.0)])
+    # an unknown key, a bad equation, a CARE key on a DARE run (the body sets
+    # gamma0) and a string t fail in load_config, before any input is read
+    @pytest.mark.parametrize("key,value", [
+        ("a", "ghost.mtx"), ("tau", 2.0), ("bogus", 1), ("equation", "ode"),
+        ("equation", "dare"), ("t", "8")])
     def test_input_error_removes_earlier_artifacts(self, tmp_path, key, value):
         paths = write_scalar_care(tmp_path)
         out = tmp_path / "out"
@@ -345,6 +349,19 @@ class TestErrors:
         cfg = write_config(tmp_path, body, name="bad.json")
         assert main(["run", "--config", cfg]) == 1
         assert not any((out / name).exists() for name in names)
+
+    @pytest.mark.parametrize("gamma0", [-5.0, 0.0])
+    def test_bad_gamma0_rejected_with_zero_rhs(self, tmp_path, capsys, gamma0):
+        # C = 0 would converge at once; the shift is still checked first
+        paths = write_matrices(tmp_path, -0.5 * np.eye(3), np.ones((3, 1)),
+                               np.zeros((1, 3)))
+        cfg = write_config(tmp_path, {
+            "equation": "care", "gamma0": gamma0, "out_dir": str(tmp_path / "out"),
+            **paths})
+        assert main(["run", "--config", cfg]) == 1
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == ["error: gamma0 must be positive and finite"]
+        assert not (tmp_path / "out").exists()
 
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1, 2])

@@ -261,7 +261,7 @@ class TestCompress:
         M = graded_stack(60 + 128, 600, 4)
         S_acc = compress_factor(LowRankFactor(M[:60]), tau).S
         new = M[60:]
-        kept = dare._truncate(new, tau, np.linalg.norm(S_acc[0]))
+        kept = compress_factor(LowRankFactor(new), tau, np.linalg.norm(S_acc[0])).S
         assert kept.shape[0] < new.shape[0]
         out = compress_factor(LowRankFactor(np.vstack([S_acc, kept])), tau)
 
@@ -273,7 +273,7 @@ class TestCompress:
     def test_rows_below_floor_truncate_to_empty_block(self):
         rng = np.random.default_rng(5)
         new = 1e-14 * rng.standard_normal((128, 300))
-        kept = dare._truncate(new, 1e-12, 1.0)
+        kept = compress_factor(LowRankFactor(new), 1e-12, 1.0).S
         assert kept.shape == (0, 300)
 
 
