@@ -67,12 +67,13 @@ class ShiftedSolver:
         if not np.all(np.isfinite(self.solve(np.ones((n, 1))))):
             raise SingularShift("shifted solve produced non-finite values")
 
+    # SuperLU.solve copies its right-hand side into Fortran order itself
     def _base_solve(self, X):
-        return self._lu.solve(np.ascontiguousarray(X))
+        return self._lu.solve(X)
 
     def _base_rsolve(self, W):
         """W M^{-1} for a row block W."""
-        return self._lu.solve(np.ascontiguousarray(W.T), trans="T").T
+        return self._lu.solve(W.T, trans="T").T
 
     def solve(self, X):
         """(A_eff - gamma I)^{-1} X."""

@@ -55,10 +55,18 @@ def _read_matrix(path, what):
     return M
 
 
+def _remove_artifacts(out_dir):
+    for name in ("summary.json", "trace.csv", "factor.mtx"):
+        Path(out_dir, name).unlink(missing_ok=True)
+
+
 def load_config(args):
     """The run's config; once its out_dir is known, before any other check,
     an earlier run's artifacts there are deleted, so an input error (exit 1)
-    does not leave them looking current."""
+    does not leave them looking current.  ``--out-dir`` is known before the
+    config file is read, so an unreadable or malformed file is covered too."""
+    if args.out_dir is not None:
+        _remove_artifacts(args.out_dir)
     cfg = {key: default for key, (default, _, _) in _KEYS.items()}
     user = {}
     if args.config:
@@ -81,8 +89,7 @@ def load_config(args):
             cfg[key] = val
             named.add(key)
     if isinstance(cfg["out_dir"], str):
-        for name in ("summary.json", "trace.csv", "factor.mtx"):
-            Path(cfg["out_dir"], name).unlink(missing_ok=True)
+        _remove_artifacts(cfg["out_dir"])
     unknown = set(user) - set(_KEYS)
     if unknown:
         raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))

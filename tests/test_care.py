@@ -327,7 +327,7 @@ class TestSolve:
 
     @pytest.mark.xfail(raises=NoConvergence, strict=True,
                        reason="fixed decaying shift stalls at nres 1.2e-2 "
-                              "(ROADMAP item 2)")
+                              "(ROADMAP item 3, adaptive shifts)")
     def test_laplacian_two_inputs_reaches_stabilizing_solution(self):
         P = laplacian_problem(300, 2, 2)
         result = fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-6)

@@ -350,6 +350,20 @@ class TestErrors:
         assert main(["run", "--config", cfg]) == 1
         assert not any((out / name).exists() for name in names)
 
+    def test_unparsable_config_removes_flag_out_dir_artifacts(self, tmp_path, capsys):
+        paths = write_scalar_care(tmp_path)
+        out = tmp_path / "out"
+        body = {"equation": "care", "gamma0": 1.0, "t": 8, **paths}
+        cfg = write_config(tmp_path, body)
+        assert main(["run", "--config", cfg, "--out-dir", str(out)]) == 0
+        assert (out / "summary.json").exists()
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(body)[:-10])  # truncated
+        assert main(["run", "--config", str(bad), "--out-dir", str(out)]) == 1
+        assert "line" in capsys.readouterr().err
+        assert not any((out / name).exists()
+                       for name in ("summary.json", "trace.csv", "factor.mtx"))
+
     @pytest.mark.parametrize("gamma0", [-5.0, 0.0])
     def test_bad_gamma0_rejected_with_zero_rhs(self, tmp_path, capsys, gamma0):
         # C = 0 would converge at once; the shift is still checked first

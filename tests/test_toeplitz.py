@@ -104,3 +104,44 @@ class TestTranspose:
         dense = densify(spec).T @ X
         assert np.linalg.norm(bt_apply_transpose(spec, X) - dense) \
             <= 1e-12 * np.linalg.norm(dense)
+
+
+def uncached_conv_lower(col, Xb):
+    """The block convolution with the column transformed on every call."""
+    t = col.shape[0]
+    length = next_pow2(2 * t - 1)
+    prod = np.fft.rfft(col, length, axis=0) @ np.fft.rfft(Xb, length, axis=0)
+    return np.fft.irfft(prod, length, axis=0)[:t]
+
+
+class TestSpectrumCache:
+    @pytest.mark.parametrize("t", [1, 5, 32])
+    @pytest.mark.parametrize("q", [1, 3])
+    def test_products_equal_uncached_formula_bitwise(self, t, q):
+        rng = np.random.default_rng(8)
+        spec = random_spec(rng, t, 2, 3)
+        X = rng.standard_normal((3 * t, q))
+        Y = rng.standard_normal((2 * t, q))
+        ref = uncached_conv_lower(spec.blocks, X.reshape(t, 3, q)).reshape(2 * t, q)
+        blocks_t = np.ascontiguousarray(spec.blocks.transpose(0, 2, 1))
+        ref_t = uncached_conv_lower(blocks_t, Y.reshape(t, 2, q)[::-1])[::-1]
+        for _ in range(2):  # first product fills the cache, the second reads it
+            assert np.array_equal(bt_apply(spec, X), ref)
+            assert np.array_equal(bt_apply_transpose(spec, Y), ref_t.reshape(3 * t, q))
+
+    @pytest.mark.parametrize("apply,rows", [(bt_apply, 3), (bt_apply_transpose, 2)])
+    def test_second_product_transforms_only_its_operand(self, monkeypatch, apply, rows):
+        rng = np.random.default_rng(9)
+        spec = random_spec(rng, 8, 2, 3)
+        X = rng.standard_normal((rows * 8, 2))
+        apply(spec, X)
+        calls = []
+        rfft = np.fft.rfft
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return rfft(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, "rfft", counted)
+        apply(spec, X)
+        assert len(calls) == 1
