@@ -4,19 +4,21 @@ The discrete-time iteration X_{k+1} = C'C + A'X_k (I + BB'X_k)^{-1} A
 converges monotonically from zero to the stabilizing solution.  A sweep
 computes X_t in one shot as a low-rank factor, without ever forming an
 n x n matrix.  This script cross-checks the sweep against the dense
-recursion and shows the monotone approach to the fixed point.
+recursion and shows the monotone approach to the fixed point, taken from
+SciPy's dense `solve_discrete_are`.
 """
 
 import numpy as np
+import scipy.linalg
 
-from fftriccati import (RiccatiProblem, dare_ground_truth, dre_dense,
-                        fta_dare_solve, fta_dare_sweep, random_dare_instance)
+from fftriccati import (RiccatiProblem, dre_dense, fta_dare_solve,
+                        fta_dare_sweep, random_dare_instance)
 
 
 def main():
     A, B, C = random_dare_instance(seed=0, n=30, m=2, l=2)
     P = RiccatiProblem(A, B, C)
-    Xstar = dare_ground_truth(A, B, C)
+    Xstar = scipy.linalg.solve_discrete_are(A, B, C.T @ C, np.eye(2))
 
     print("sweep vs dense recursion, and distance to the fixed point:")
     print("%6s %14s %14s" % ("t", "|sweep-dense|", "|X_t - X*|"))

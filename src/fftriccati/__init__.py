@@ -9,8 +9,7 @@ from .errors import (BreakdownNonSpd, DimensionMismatch, FftRiccatiError,
                      NoConvergence, NotPositiveDefinite, ParseError, PcgFailure,
                      SingularIterate, SingularPreconditioner, SingularShift,
                      StackBlowup, ZeroRhs)
-from .oracles import (care_ground_truth, dare_ground_truth, dre_dense,
-                      min_eig_difference, radi_delta_check,
+from .oracles import (dre_dense, min_eig_difference, radi_delta_check,
                       random_care_instance, random_dare_instance, sda_dense)
 from .pcg import BlockCirculantPreconditioner, GramOperator, pcg_solve
 from .residuals import nres_care, nres_dare, nres_factor

@@ -248,6 +248,8 @@ def fta_dare_arbitrary(P, Gamma, t):
     Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
     if Gamma.shape[1] != P.n:
         raise DimensionMismatch("Gamma must have n columns")
+    if not np.all(np.isfinite(Gamma)):
+        raise DimensionMismatch("Gamma must be finite")
     if not np.any(Gamma):
         return fta_dare_sweep(P, t)
     base = _sweep_base(P, t)

@@ -14,8 +14,6 @@ from .errors import DimensionMismatch, SingularIterate, SingularShift
 from .linops import lu, to_dense
 
 _DENSE_GUARD = 256
-_MAX_DOUBLINGS = 60  # ground-truth doubling steps at most
-_STALL_TOL = 1e-13  # relative change of H at which doubling has stalled
 
 
 @dataclass
@@ -89,25 +87,6 @@ def sda_care_init(A, B, C, gamma):
     G0 = 2.0 * gamma * Ainv @ B @ B.T @ Kinv
     H0 = 2.0 * gamma * Kinv @ C.T @ C @ Ainv
     return SdaState(A0, 0.5 * (G0 + G0.T), 0.5 * (H0 + H0.T))
-
-
-def _doubled_h(state):
-    """H after doubling from state until it stalls (or _MAX_DOUBLINGS steps)."""
-    for _ in range(_MAX_DOUBLINGS):
-        nxt = sda_step(state)
-        if np.linalg.norm(nxt.Hk - state.Hk) <= _STALL_TOL * max(1.0, np.linalg.norm(nxt.Hk)):
-            return nxt.Hk
-        state = nxt
-    return state.Hk
-
-
-def care_ground_truth(A, B, C, gamma):
-    """Run doubling from the Cayley seed until the H iterate stalls."""
-    return _doubled_h(sda_care_init(A, B, C, gamma))
-
-
-def dare_ground_truth(A, B, C):
-    return _doubled_h(sda_dare_init(A, B, C))
 
 
 def random_orthogonal(rng, n):

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse
 
 from fftriccati import dare
@@ -11,8 +12,8 @@ from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              compress_factor, fta_dare_arbitrary,
                              fta_dare_solve, fta_dare_sweep)
 from fftriccati.errors import (DimensionMismatch, NoConvergence, StackBlowup)
-from fftriccati.oracles import (dare_ground_truth, dre_dense,
-                                min_eig_difference, random_dare_instance)
+from fftriccati.oracles import (dre_dense, min_eig_difference,
+                                random_dare_instance)
 from fftriccati.residuals import nres_dare
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
@@ -45,6 +46,8 @@ class TestProblem:
             RiccatiProblem(np.eye(3), np.zeros((3, 1)), np.zeros((1, 2)))
         with pytest.raises(DimensionMismatch):
             RiccatiProblem(np.eye(3), np.full((3, 1), np.nan), np.zeros((1, 3)))
+        with pytest.raises(DimensionMismatch, match="need m <= n"):
+            RiccatiProblem(np.eye(2), np.zeros((2, 3)), np.zeros((1, 2)))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     @pytest.mark.parametrize("sparse", [False, True], ids=["dense", "sparse"])
@@ -146,7 +149,7 @@ class TestSweep:
     def test_bounded_by_fixed_point(self):
         A, B, C = random_dare_instance(3, 12, 1, 1)
         P = RiccatiProblem(A, B, C)
-        Xstar = dare_ground_truth(A, B, C)
+        Xstar = scipy.linalg.solve_discrete_are(A, B, C.T @ C, np.eye(1))
         X16 = fta_dare_sweep(P, 16).gram()
         vals = np.linalg.eigvalsh(Xstar - X16)
         assert vals.min() >= -1e-9 * np.linalg.norm(Xstar)
@@ -183,6 +186,14 @@ class TestArbitraryInit:
     def test_zero_gamma_width_checked(self, shape):
         with pytest.raises(DimensionMismatch, match="n columns"):
             fta_dare_arbitrary(scalar_problem(), np.zeros(shape), 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_gamma_is_input_error(self, bad, monkeypatch):
+        def no_sweep(*args):
+            raise AssertionError("_sweep_base called on non-finite Gamma")
+        monkeypatch.setattr(dare, "_sweep_base", no_sweep)
+        with pytest.raises(DimensionMismatch, match="Gamma must be finite"):
+            fta_dare_arbitrary(scalar_problem(), np.array([[bad]]), 2)
 
     def test_empty_gamma_is_plain_sweep(self):
         A, B, C = random_dare_instance(4, 10, 2, 2)
@@ -320,7 +331,7 @@ class TestSolve:
         factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10,
                                          max_restarts=6)
         assert history[-1].nres <= 1e-10
-        Xstar = dare_ground_truth(A, B, C)
+        Xstar = scipy.linalg.solve_discrete_are(A, B, C.T @ C, np.eye(2))
         assert np.linalg.norm(factor.gram() - Xstar) \
             <= 1e-7 * max(1.0, np.linalg.norm(Xstar))
 

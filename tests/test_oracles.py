@@ -5,8 +5,7 @@ import pytest
 import scipy.linalg
 
 from fftriccati.errors import DimensionMismatch, SingularIterate, SingularShift
-from fftriccati.oracles import (care_ground_truth, dare_ground_truth,
-                                dre_dense, random_care_instance,
+from fftriccati.oracles import (dre_dense, random_care_instance,
                                 random_dare_instance, random_orthogonal,
                                 sda_care_init, sda_dare_init, sda_dense,
                                 sda_step)
@@ -25,7 +24,7 @@ class TestDreDense:
 
     def test_fixed_point_is_stationary(self):
         A, B, C = random_dare_instance(0, 10, 1, 1)
-        Xstar = dare_ground_truth(A, B, C)
+        Xstar = scipy.linalg.solve_discrete_are(A, B, C.T @ C, np.eye(1))
         out = dre_dense(A, B, C, Xstar, 1)
         assert np.linalg.norm(out - Xstar) <= 1e-11 * np.linalg.norm(Xstar)
 
@@ -124,37 +123,6 @@ class TestCareInit:
         with pytest.raises(SingularShift, match="K_gamma"):
             sda_care_init(np.array([[1.5, 0.0], [1.0, 2.0]]),
                           np.array([[1e4], [0.0]]), np.array([[0.0, 1e4]]), 1.0)
-
-
-class TestGroundTruth:
-    def test_scalar_care_limit(self):
-        X = care_ground_truth(np.array([[-1.0]]), np.array([[1.0]]),
-                              np.array([[1.0]]), 1.0)
-        np.testing.assert_allclose(X, [[np.sqrt(2.0) - 1.0]], atol=1e-12)
-
-    def test_care_solves_equation(self):
-        A, B, C = random_care_instance(5, 16, 2, 2)
-        X = care_ground_truth(A, B, C, 1.0)
-        resid = A.T @ X + X @ A - X @ B @ B.T @ X + C.T @ C
-        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(C.T @ C)
-
-    def test_care_agrees_with_scipy(self):
-        A, B, C = random_care_instance(6, 12, 2, 2)
-        X = care_ground_truth(A, B, C, 1.0)
-        ref = scipy.linalg.solve_continuous_are(A, B, C.T @ C, np.eye(2))
-        assert np.linalg.norm(X - ref) <= 1e-9 * max(1.0, np.linalg.norm(ref))
-
-    def test_scalar_dare_golden_ratio(self):
-        X = dare_ground_truth(np.array([[1.0]]), np.array([[1.0]]),
-                              np.array([[1.0]]))
-        np.testing.assert_allclose(X, [[(1 + np.sqrt(5)) / 2]], atol=1e-12)
-
-    def test_dare_solves_equation(self):
-        A, B, C = random_dare_instance(7, 16, 2, 2)
-        X = dare_ground_truth(A, B, C)
-        mid = np.linalg.solve(np.eye(16) + B @ B.T @ X, A)
-        resid = -X + A.T @ X @ mid + C.T @ C
-        assert np.linalg.norm(resid) <= 1e-10 * np.linalg.norm(C.T @ C)
 
 
 class TestGenerators:

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fftriccati import toeplitz_inverse
-from fftriccati.errors import PcgFailure
+from fftriccati.errors import DimensionMismatch, PcgFailure
 from fftriccati.pcg import PcgResult
 from fftriccati.toeplitz import BlockToeplitzSpec, densify
 from fftriccati.toeplitz_inverse import solve_sweep_systems
@@ -89,6 +89,12 @@ class TestCareMode:
         inv = solve_sweep_systems(inner_col(rng, 4, 2, 2))
         xi = inv.apply(np.zeros((6, 2)))
         assert np.linalg.norm(xi) == 0.0
+
+    @pytest.mark.parametrize("rows", [5, 7])
+    def test_apply_checks_row_count(self, rows):
+        inv = solve_sweep_systems(inner_col(np.random.default_rng(3), 4, 2, 2))
+        with pytest.raises(DimensionMismatch, match="V has %d rows, inverse acts on 6" % rows):
+            inv.apply(np.zeros((rows, 2)))
 
 
 class TestTriangularFactor:
