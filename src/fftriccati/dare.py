@@ -18,6 +18,7 @@ with its ``SolveResult`` defined here are shared with the continuous-time
 solver in ``care``: each solver only yields its rounds to ``_drive``.
 """
 
+import numbers
 import time
 from dataclasses import dataclass
 
@@ -57,6 +58,8 @@ class RiccatiProblem:
             raise DimensionMismatch("B must have n rows")
         if C.shape[1] != n:
             raise DimensionMismatch("C must have n columns")
+        if B.shape[1] == 0:
+            raise DimensionMismatch("B must have at least one column")
         if B.shape[1] > n or C.shape[0] > n:
             raise DimensionMismatch("need m <= n and l <= n")
         if not (np.all(np.isfinite(B)) and np.all(np.isfinite(C))):
@@ -90,10 +93,6 @@ class LowRankFactor:
     @property
     def r(self):
         return self.S.shape[0]
-
-    @property
-    def n(self):
-        return self.S.shape[1]
 
     def gram(self):
         return self.S.T @ self.S
@@ -137,9 +136,9 @@ class SolveResult:
 
 
 def _check_sweep_settings(t, tau):
-    """A solve's t >= 1 and tau in [0, 1) (NaN fails both), checked before any work."""
-    if not t >= 1:
-        raise ValueError("t must be >= 1")
+    """A solve's integer t >= 1 and tau in [0, 1) (NaN fails both), before any work."""
+    if not (isinstance(t, numbers.Integral) and t >= 1):
+        raise ValueError("t must be an integer >= 1")
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
 
@@ -149,8 +148,8 @@ def _drive(P, rounds, stop, max_rounds, unit):
     ``rounds`` yields, (factor, the RoundRecord fields but round and ms), until
     a record's nres is <= stop.  At the cap, NoConvergence carries the last
     factor.  Round k's factor is dropped before round k + 1 runs."""
-    if max_rounds < 1:
-        raise ValueError("max_%s must be >= 1" % unit)
+    if not (isinstance(max_rounds, numbers.Integral) and max_rounds >= 1):
+        raise ValueError("max_%s must be an integer >= 1" % unit)
     if not stop >= 0:
         raise ValueError("stop must be >= 0")
     if not np.any(P.C):

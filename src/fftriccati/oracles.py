@@ -139,21 +139,3 @@ def radi_delta_check(P, X_factor, Ct, gamma):
     mid = np.eye(Ct.shape[0]) + tmp @ tmp.T
     return 2.0 * gamma * CtAinv.T @ np.linalg.solve(mid, CtAinv)
 
-
-def min_eig_difference(S1, S2):
-    """Smallest eigenvalue of S2'S2 - S1'S1 via the joint row space."""
-    A, B = (S.S if hasattr(S, "S") else np.atleast_2d(np.asarray(S, dtype=float))
-            for S in (S1, S2))
-    if A.size and B.size and A.shape[1] != B.shape[1]:
-        raise DimensionMismatch("factors act on different spaces")
-    n = B.shape[1] if B.size else A.shape[1]
-    T = np.vstack([np.zeros((0, n)), A.reshape(-1, n), B.reshape(-1, n)])
-    if not np.any(T):
-        return 0.0
-    Q, _ = np.linalg.qr(T.T)
-    D = (B @ Q).T @ (B @ Q) - (A @ Q).T @ (A @ Q)
-    vals = np.linalg.eigvalsh(0.5 * (D + D.T))
-    smallest = float(vals[0]) if vals.size else 0.0
-    if Q.shape[1] < n:
-        smallest = min(smallest, 0.0)
-    return smallest

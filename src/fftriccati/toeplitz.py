@@ -50,10 +50,6 @@ class BlockToeplitzSpec:
     def p2(self):
         return self.blocks.shape[2]
 
-    @property
-    def shape(self):
-        return (self.p1 * self.t, self.p2 * self.t)
-
     @cached_property
     def spectrum(self):
         """The column's rfft at length next_pow2(2t - 1), computed on first use."""

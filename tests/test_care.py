@@ -163,6 +163,13 @@ class TestOneStorage:
         with pytest.raises(SingularShift, match="A - gamma I is numerically singular"):
             care.ShiftedSolver(A, NEAR_EIGENVALUE)
 
+    @pytest.mark.parametrize("storage", [scipy.sparse.csr_matrix, np.asarray],
+                             ids=["csr", "dense"])
+    def test_exactly_singular_shift_is_singular_shift(self, storage):
+        with pytest.raises(SingularShift, match="cannot factor A - gamma I") as exc:
+            care.ShiftedSolver(storage(np.diag([1.0, 2.0, 3.0])), 1.0)
+        assert isinstance(exc.value.__cause__, RuntimeError)
+
     def test_near_singular_shift_retried_alike_in_both_storages(self, monkeypatch):
         P = antistable_problem()
         gammas = []
@@ -463,6 +470,8 @@ class TestSolve:
             fta_care_solve(scalar_problem(), gamma0=1.0, shift_decay=0.5)
         with pytest.raises(ValueError, match="max_rounds"):
             fta_care_solve(scalar_problem(), gamma0=1.0, max_rounds=0)
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            fta_care_solve(scalar_problem(c=0.0), gamma0=1.0, max_rounds=2.5)
 
     @pytest.mark.parametrize("stop", [-1.0, np.nan])
     def test_stop_must_be_nonnegative(self, stop):

@@ -43,8 +43,9 @@ class TestSolveResult:
 class TestSettingsCheckedFirst:
     @EQUATIONS
     @pytest.mark.parametrize("zero_c", [False, True], ids=["c", "zero-c"])
-    @pytest.mark.parametrize("t,tau", [(8, 2.0), (8, -1.0), (8, float("nan")), (0, 1e-12)],
-                             ids=["tau2", "tau-1", "tau-nan", "t0"])
+    @pytest.mark.parametrize("t,tau", [(8, 2.0), (8, -1.0), (8, float("nan")), (0, 1e-12),
+                                       (2.5, 1e-12)],
+                             ids=["tau2", "tau-1", "tau-nan", "t0", "t2.5"])
     def test_bad_t_or_tau_raises_before_any_work(self, monkeypatch, equation, zero_c,
                                                  t, tau):
         calls = []

@@ -7,8 +7,7 @@ import scipy.linalg
 from fftriccati.care import cayley_transform, fta_care_sweep, residual_factor
 from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, ZeroRhs
-from fftriccati.oracles import (min_eig_difference, random_care_instance,
-                                random_dare_instance)
+from fftriccati.oracles import random_care_instance, random_dare_instance
 from fftriccati.residuals import nres_care, nres_dare, nres_factor
 
 
@@ -145,39 +144,6 @@ class TestResidualFactor:
         P = RiccatiProblem(-np.eye(2), np.ones((2, 1)), np.zeros((1, 2)))
         with pytest.raises(ZeroRhs):
             nres_factor(np.ones((1, 2)), P)
-
-
-class TestMinEigDifference:
-    def test_equal_factors(self):
-        S = np.array([[1.0, 2.0]])
-        assert min_eig_difference(S, S) == pytest.approx(0.0, abs=1e-14)
-
-    def test_scalar_gap(self):
-        a = np.array([[1.0]])
-        b = np.array([[2.0]])
-        assert min_eig_difference(a, b) == pytest.approx(3.0, abs=1e-12)
-        assert min_eig_difference(b, a) == pytest.approx(-3.0, abs=1e-12)
-
-    def test_matches_dense_eig(self):
-        rng = np.random.default_rng(6)
-        A = rng.standard_normal((3, 10))
-        B = rng.standard_normal((5, 10))
-        got = min_eig_difference(A, B)
-        want = np.linalg.eigvalsh(B.T @ B - A.T @ A).min()
-        assert abs(got - want) <= 1e-10
-
-    def test_rank_deficient_row_space_caps_at_zero(self):
-        # joint row space does not span R^n: the difference has a kernel
-        A = np.zeros((0, 5))
-        B = np.array([[1.0, 0.0, 0.0, 0.0, 0.0]])
-        assert min_eig_difference(A, B) == pytest.approx(0.0, abs=1e-14)
-
-    def test_both_empty(self):
-        assert min_eig_difference(np.zeros((0, 4)), np.zeros((0, 4))) == 0.0
-
-    def test_mismatched_widths(self):
-        with pytest.raises(DimensionMismatch):
-            min_eig_difference(np.ones((1, 3)), np.ones((1, 4)))
 
 
 @pytest.mark.parametrize("nres", [nres_care, nres_dare])

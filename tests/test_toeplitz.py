@@ -21,7 +21,6 @@ class TestSpec:
     def test_shape_properties(self):
         spec = BlockToeplitzSpec(np.zeros((5, 2, 3)))
         assert (spec.t, spec.p1, spec.p2) == (5, 2, 3)
-        assert spec.shape == (10, 15)
 
     def test_bad_rank_rejected(self):
         with pytest.raises(DimensionMismatch):
