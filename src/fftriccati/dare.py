@@ -135,10 +135,15 @@ class SolveResult:
         return iter((self.factor, self.history))
 
 
-def _check_sweep_settings(t, tau):
-    """A solve's integer t >= 1 and tau in [0, 1) (NaN fails both), before any work."""
+def _check_depth(t):
+    """The sweep depth t must be an integer >= 1."""
     if not (isinstance(t, numbers.Integral) and t >= 1):
         raise ValueError("t must be an integer >= 1")
+
+
+def _check_sweep_settings(t, tau):
+    """A solve's integer t >= 1 and tau in [0, 1) (NaN fails both), before any work."""
+    _check_depth(t)
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
 
@@ -186,8 +191,7 @@ def _krylov_blocks(W0, rapply, count):
 
 def _krylov_stack(W0, rapply, B, t):
     """Blocks W0, W0 R, ..., W0 R^{t-1} with W R = rapply(W), and VB = V_{t-1} B."""
-    if t < 1:
-        raise DimensionMismatch("t must be >= 1")
+    _check_depth(t)
     blocks = list(_krylov_blocks(W0, rapply, t - 1))
     VB = (np.vstack([blk @ B for blk in blocks[:-1]]) if t > 1
           else np.zeros((0, B.shape[1])))

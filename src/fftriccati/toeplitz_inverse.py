@@ -22,8 +22,10 @@ block Y on the diagonal; the discrete sweep passes its inner (t-1)-block
 column toepL(V_{t-1}B), whose closed form has no corner block.
 
 Every Gram solve runs PCG to a relative residual of 1e-12 and accepts a
-column at the conditioning floor of ``_solve_spd``.  Only R is kept: the
-Gram solutions and their Cholesky factors are dropped once it is formed.
+column at the conditioning floor of ``_solve_spd``.  A Gram solve stops at
+its first missed column and solves no later one; its ``PcgFailure`` names
+that column.  Only R is kept: the Gram solutions and their Cholesky factors
+are dropped once it is formed.
 """
 
 from dataclasses import dataclass
@@ -68,21 +70,27 @@ class StructuredInverse:
 
 
 def _solve_spd(op, precond, rhs, kappa_bound):
-    """PCG with a conditioning-aware acceptance floor.
+    """PCG, one column at a time, with a conditioning-aware acceptance floor.
 
     The attainable CG residual is about eps * kappa; demanding less on a
     badly conditioned Gram system would fail spuriously, so a column counts
-    as solved once it reaches max(rel_tol, 100 eps kappa_bound).
+    as solved once it reaches max(rel_tol, 100 eps kappa_bound).  The first
+    column that misses raises PcgFailure, so no later column is solved.
+    PCG treats columns independently: the result equals one call over all.
     """
-    # ill-conditioned Gram systems can need ~sqrt(kappa) > dim iterations
-    res = pcg_solve(op, precond, rhs, rel_tol=_REL_TOL, max_iter=50 * op.dim)
     floor = max(_REL_TOL, 100.0 * np.finfo(float).eps * kappa_bound)
-    bad = ~(res.residuals <= floor)  # a NaN residual is a miss too
-    if np.any(bad):
-        raise PcgFailure(
-            "PCG missed tolerance on %d of %d columns (worst rel. residual %g, floor %g)"
-            % (int(np.sum(bad)), res.x.shape[1], float(res.residuals.max()), floor))
-    return res.x
+    X = np.empty(rhs.shape)
+    for j in range(rhs.shape[1]):
+        # ill-conditioned Gram systems can need ~sqrt(kappa) > dim iterations
+        res = pcg_solve(op, precond, rhs[:, j:j + 1], rel_tol=_REL_TOL,
+                        max_iter=50 * op.dim)
+        rel = float(res.residuals[0])
+        if not rel <= floor:  # a NaN residual is a miss too
+            raise PcgFailure(
+                "PCG missed tolerance on column %d of %d (worst rel. residual %g, floor %g)"
+                % (j + 1, rhs.shape[1], rel, floor))
+        X[:, j:j + 1] = res.x
+    return X
 
 
 def solve_sweep_systems(T):

@@ -255,8 +255,9 @@ class TestSweep:
 
     def test_t_validated(self):
         sys = cayley_transform(scalar_problem(), 1.0)
-        with pytest.raises(DimensionMismatch):
-            fta_care_sweep(sys, 0)
+        for t in (0, 2.5):
+            with pytest.raises(ValueError, match="t must be an integer >= 1"):
+                fta_care_sweep(sys, t)
 
 
 class TestResidualFactor:

@@ -111,8 +111,12 @@ class TestKrylovStack:
             build_krylov_stack(P, 8)
 
     def test_t_validated(self):
-        with pytest.raises(DimensionMismatch):
-            build_krylov_stack(scalar_problem(), 0)
+        P = scalar_problem()
+        for t in (0, 2.5):
+            for call in (lambda: build_krylov_stack(P, t), lambda: fta_dare_sweep(P, t),
+                         lambda: fta_dare_arbitrary(P, np.ones((1, 1)), t)):
+                with pytest.raises(ValueError, match="t must be an integer >= 1"):
+                    call()
 
 
 class TestSweep:

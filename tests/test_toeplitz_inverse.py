@@ -5,7 +5,7 @@ import pytest
 
 from fftriccati import toeplitz_inverse
 from fftriccati.errors import DimensionMismatch, PcgFailure
-from fftriccati.pcg import PcgResult
+from fftriccati.pcg import GramOperator, PcgResult, choose_preconditioner, pcg_solve
 from fftriccati.toeplitz import BlockToeplitzSpec, densify
 from fftriccati.toeplitz_inverse import solve_sweep_systems
 
@@ -121,3 +121,28 @@ def test_nan_pcg_residual_is_pcg_failure(monkeypatch):
     monkeypatch.setattr(toeplitz_inverse, "pcg_solve", nan_pcg)
     with pytest.raises(PcgFailure, match="worst rel. residual nan"):
         solve_sweep_systems(care_col(np.random.default_rng(0), 4, 2, 2))
+
+
+def test_gram_solve_stops_at_first_missed_column(monkeypatch):
+    calls = []
+
+    def missing_pcg(op, precond, rhs, rel_tol, max_iter):
+        cols = rhs.shape[1]
+        calls.append(cols)
+        return PcgResult(np.zeros(rhs.shape), np.ones(cols, int), np.ones(cols),
+                         np.zeros(cols, bool))
+
+    monkeypatch.setattr(toeplitz_inverse, "pcg_solve", missing_pcg)
+    with pytest.raises(PcgFailure, match="column 1 of 2 "):
+        solve_sweep_systems(care_col(np.random.default_rng(0), 4, 2, 2))
+    assert calls == [1]
+
+
+def test_passing_gram_solve_equals_one_call_over_all_columns():
+    """Solving column by column changes no bit of a solve that passes."""
+    spec = care_col(np.random.default_rng(7), 16, 2, 2)
+    op, precond = GramOperator(spec), choose_preconditioner(spec)
+    rhs = np.random.default_rng(8).standard_normal((op.dim, 3))
+    kappa = 1.0 + spec.t * float(np.sum(spec.blocks * spec.blocks))
+    whole = pcg_solve(op, precond, rhs, rel_tol=1e-12, max_iter=50 * op.dim)
+    assert np.array_equal(toeplitz_inverse._solve_spd(op, precond, rhs, kappa), whole.x)
