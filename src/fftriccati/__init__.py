@@ -7,10 +7,7 @@ from .dare import (KrylovStack, LowRankFactor, RiccatiProblem, RoundRecord,
                    fta_dare_arbitrary, fta_dare_solve, fta_dare_sweep)
 from .errors import (BreakdownNonSpd, DimensionMismatch, FftRiccatiError,
                      NoConvergence, NotPositiveDefinite, ParseError, PcgFailure,
-                     SingularIterate, SingularPreconditioner, SingularShift,
-                     StackBlowup, ZeroRhs)
-from .oracles import (dre_dense, radi_delta_check, random_care_instance,
-                      random_dare_instance, sda_dense)
+                     SingularPreconditioner, SingularShift, StackBlowup, ZeroRhs)
 from .pcg import BlockCirculantPreconditioner, GramOperator, pcg_solve
 from .residuals import nres_care, nres_dare, nres_factor
 from .toeplitz import BlockToeplitzSpec, bt_apply, bt_apply_transpose, densify

@@ -60,16 +60,12 @@ class ShiftedSolver:
         if U is not None and U.size and V is not None and np.any(V):
             self._U = np.asarray(U, dtype=float)
             self._V = np.asarray(V, dtype=float)
-            self._cor = self._base_solve(self._U)       # M^{-1} U
+            self._cor = self._lu.solve(self._U)         # M^{-1} U
             self._cor_t = self._base_rsolve(self._V.T).T  # M^{-T} V
             self._sm_lu = lu(np.eye(U.shape[1]) - self._V.T @ self._cor,
                              SingularShift, "feedback capacitance matrix")
         if not np.all(np.isfinite(self.solve(np.ones((n, 1))))):
             raise SingularShift("shifted solve produced non-finite values")
-
-    # SuperLU.solve copies its right-hand side into Fortran order itself
-    def _base_solve(self, X):
-        return self._lu.solve(X)
 
     def _base_rsolve(self, W):
         """W M^{-1} for a row block W."""
@@ -77,7 +73,8 @@ class ShiftedSolver:
 
     def solve(self, X):
         """(A_eff - gamma I)^{-1} X."""
-        Y = self._base_solve(X)
+        # SuperLU.solve copies its right-hand side into Fortran order itself
+        Y = self._lu.solve(X)
         if self._U is None:
             return Y
         return Y + self._cor @ scipy.linalg.lu_solve(self._sm_lu, self._V.T @ Y)

@@ -99,7 +99,8 @@ def bt_apply_transpose(spec, X):
 
 
 def densify(spec):
-    """Materialize the full p1*t x p2*t matrix (test utility only)."""
+    """Materialize the full p1*t x p2*t matrix: the dense form that checks
+    and demos compare the structured products against."""
     t, p1, p2 = spec.t, spec.p1, spec.p2
     out = np.zeros((p1 * t, p2 * t))
     for i in range(t):

@@ -2,7 +2,10 @@
 
 Everything here uses pivoted dense factorizations only and shares no code
 with the structured solver paths, so agreement between the two is a real
-cross-check rather than a tautology.
+cross-check rather than a tautology.  The module lives in ``tests/`` and
+the tests import it as ``oracles``: no solver module, CLI path or
+benchmark needs a dense n x n reference, so the installed package does not
+ship one.
 """
 
 from dataclasses import dataclass
@@ -10,10 +13,14 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .errors import DimensionMismatch, SingularIterate, SingularShift
-from .linops import lu, to_dense
+from fftriccati.errors import DimensionMismatch, SingularShift
+from fftriccati.linops import lu, to_dense
 
 _DENSE_GUARD = 256
+
+
+class SingularIterate(Exception):
+    """A dense oracle hit a singular linear system mid-iteration."""
 
 
 @dataclass

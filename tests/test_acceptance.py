@@ -11,11 +11,11 @@ from fftriccati.care import (cayley_transform, fta_care_solve, fta_care_sweep,
                              residual_factor)
 from fftriccati.cli import generate_synthetic, main
 from fftriccati.dare import RiccatiProblem, fta_dare_sweep
-from fftriccati.oracles import (dre_dense, radi_delta_check,
-                                random_care_instance, random_dare_instance,
-                                sda_dare_init, sda_dense)
 from fftriccati.toeplitz import BlockToeplitzSpec, bt_apply, densify
 from fftriccati.toeplitz_inverse import solve_sweep_systems
+
+from oracles import (dre_dense, radi_delta_check, random_care_instance,
+                     random_dare_instance, sda_dare_init, sda_dense)
 
 
 def report(capsys, num, ok):

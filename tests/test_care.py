@@ -12,9 +12,9 @@ from fftriccati.care import (cayley_transform, default_gamma0, fta_care_solve,
 from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
                                SingularShift)
-from fftriccati.oracles import (radi_delta_check, random_care_instance,
-                                sda_care_init)
 from fftriccati.residuals import nres_care
+
+from oracles import radi_delta_check, random_care_instance, sda_care_init
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 ANTISTABLE_ROOT = (1.0 + np.sqrt(5.0)) / 4.0  # positive root of 1 + 2x - 4x^2 = 0

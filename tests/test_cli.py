@@ -140,7 +140,7 @@ class TestRun:
 
     def test_dare_run_matches_library(self, tmp_path):
         rng = np.random.default_rng(3)
-        from fftriccati.oracles import random_dare_instance
+        from oracles import random_dare_instance
         from fftriccati.dare import fta_dare_solve
         A, B, C = random_dare_instance(3, 12, 2, 2)
         for name, M in (("a", A), ("b", B), ("c", C)):

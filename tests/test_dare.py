@@ -12,8 +12,9 @@ from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              compress_factor, fta_dare_arbitrary,
                              fta_dare_solve, fta_dare_sweep)
 from fftriccati.errors import (DimensionMismatch, NoConvergence, StackBlowup)
-from fftriccati.oracles import dre_dense, random_dare_instance
 from fftriccati.residuals import nres_dare
+
+from oracles import dre_dense, random_dare_instance
 
 GOLDEN_RATIO = (1.0 + np.sqrt(5.0)) / 2.0
 

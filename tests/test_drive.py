@@ -10,7 +10,8 @@ from fftriccati import SolveResult, care, dare
 from fftriccati.care import fta_care_solve
 from fftriccati.dare import LowRankFactor, RiccatiProblem, _drive, fta_dare_solve
 from fftriccati.errors import NoConvergence
-from fftriccati.oracles import random_care_instance, random_dare_instance
+
+from oracles import random_care_instance, random_dare_instance
 
 EQUATIONS = pytest.mark.parametrize("equation", ["care", "dare"])
 INSTANCES = {"care": lambda: random_care_instance(8, 12, 1, 1),

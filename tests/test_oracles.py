@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from fftriccati.errors import DimensionMismatch, SingularIterate, SingularShift
-from fftriccati.oracles import (dre_dense, random_care_instance,
-                                random_dare_instance, random_orthogonal,
-                                sda_care_init, sda_dare_init, sda_dense,
-                                sda_step)
+from fftriccati.errors import DimensionMismatch, SingularShift
+
+from oracles import (SingularIterate, dre_dense, random_care_instance,
+                     random_dare_instance, random_orthogonal, sda_care_init,
+                     sda_dare_init, sda_dense, sda_step)
 
 
 class TestDreDense:

@@ -7,8 +7,9 @@ import scipy.linalg
 from fftriccati.care import cayley_transform, fta_care_sweep, residual_factor
 from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, ZeroRhs
-from fftriccati.oracles import random_care_instance, random_dare_instance
 from fftriccati.residuals import nres_care, nres_dare, nres_factor
+
+from oracles import random_care_instance, random_dare_instance
 
 
 def dense_care_resid(P, X):
