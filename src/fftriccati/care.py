@@ -28,7 +28,7 @@ import scipy.linalg
 import scipy.sparse
 import scipy.sparse.linalg
 
-from .dare import (LowRankFactor, _check_sweep_settings, _drive, _krylov_stack,
+from .dare import (LowRankFactor, Sweep, _check_sweep_settings, _drive, _krylov_stack,
                    compress_factor)
 from .errors import SingularShift
 from .linops import check_pivots, lu
@@ -119,26 +119,20 @@ def cayley_transform(P, gamma, C_current=None, feedback=None):
                         Ctilde=scale * CA, Ygamma=CA @ P.B)
 
 
-@dataclass
-class CareSweep:
-    factor: LowRankFactor  # R Vt, t*l rows
-    inv: object  # StructuredInverse
-
-
 def fta_care_sweep(sys, t):
-    """One structured sweep: factor of the Cayley-DRE iterate X_t."""
+    """One structured sweep: the factor R Vt (t l rows) of the Cayley-DRE iterate X_t."""
     stack = _krylov_stack(sys.Ctilde, sys.atilde_rapply, sys.Btilde, t)
     l, m = sys.Ctilde.shape[0], sys.Btilde.shape[1]
-    col = np.vstack([sys.Ygamma, stack.VB]).reshape(t, l, m)
-    inv = solve_sweep_systems(BlockToeplitzSpec(col))
-    return CareSweep(LowRankFactor(inv.apply(stack.Vt)), inv)
+    T = BlockToeplitzSpec(np.vstack([sys.Ygamma, stack.VB]).reshape(t, l, m))
+    inv = solve_sweep_systems(T)
+    return Sweep(LowRankFactor(inv.apply(stack.Vt)), inv, T)
 
 
 def residual_factor(sys, sweep, C_in):
     """C_t with residual(X_t) = C_t'C_t, via the structured-inverse contraction."""
     C_in = np.atleast_2d(np.asarray(C_in, dtype=float))
     l = C_in.shape[0]
-    ones = np.tile(np.eye(l), (sweep.inv.t, 1))
+    ones = np.tile(np.eye(l), (sweep.inv.dim // l, 1))
     xi = sweep.inv.apply(ones)
     return C_in + np.sqrt(2.0 * sys.gamma) * (xi.T @ sweep.factor.S)
 

@@ -45,7 +45,13 @@ _KEYS = {
 
 
 def _read_matrix(path, what):
+    """The matrix of a Matrix Market file.  A header with a zero dimension is
+    refused before ``mmread``, which dies of SIGFPE on a 0-row array file."""
     try:
+        rows, cols = scipy.io.mminfo(path)[:2]
+        if rows == 0 or cols == 0:
+            raise ParseError("%s: %s is %d x %d; it needs at least one row and one column"
+                             % (what, path, rows, cols))
         M = scipy.io.mmread(path)
     except OSError as exc:
         raise ParseError("%s: cannot read %s: %s" % (what, path, exc)) from exc
@@ -169,6 +175,8 @@ def generate_synthetic(kind, n, m, l, seed, out_dir):
     """Write a synthetic (A, B, C) problem as a.mtx / b.mtx / c.mtx."""
     if n < 4:
         raise ValueError("n must be >= 4")
+    if m < 1 or l < 1:
+        raise ValueError("m and l must be >= 1")
     rng = np.random.default_rng(seed)
     if kind == "laplacian1d_stable":
         A = scipy.sparse.diags([np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)],

@@ -12,10 +12,10 @@ each restart appends the initial-term rows of its compressed factor.  Those
 rows need Gamma A^k B (k < t) and Gamma A^t only, so a restart propagates
 Gamma with one live g x n block.
 
-The problem type, the low-rank factor, the per-round record, the guarded
-Krylov-block builder, the factor compression and the outer loop ``_drive``
-with its ``SolveResult`` defined here are shared with the continuous-time
-solver in ``care``: each solver only yields its rounds to ``_drive``.
+The problem type, the low-rank factor, the sweep and round records, the
+guarded Krylov-block builder, the factor compression and the outer loop
+``_drive`` with its ``SolveResult`` defined here are shared with the
+continuous-time solver in ``care``; each solver only yields its rounds.
 """
 
 import numbers
@@ -110,6 +110,15 @@ class KrylovStack:
         return np.vstack(self.blocks)
 
 
+@dataclass(frozen=True)
+class Sweep:
+    """One sweep: X_t's factor, T and the structured inverse of I + TT'."""
+
+    factor: LowRankFactor  # CARE: R Vt; DARE: [C; R V], V without its first block
+    inv: object  # StructuredInverse; None for the DARE's t = 1 sweep
+    T: BlockToeplitzSpec  # None where inv is
+
+
 @dataclass
 class RoundRecord:
     round: int
@@ -135,15 +144,15 @@ class SolveResult:
         return iter((self.factor, self.history))
 
 
-def _check_depth(t):
-    """The sweep depth t must be an integer >= 1."""
-    if not (isinstance(t, numbers.Integral) and t >= 1):
-        raise ValueError("t must be an integer >= 1")
+def _check_count(value, what):
+    """A sweep depth or a round cap must be an integer >= 1; a bool is not one."""
+    if isinstance(value, bool) or not (isinstance(value, numbers.Integral) and value >= 1):
+        raise ValueError("%s must be an integer >= 1" % what)
 
 
 def _check_sweep_settings(t, tau):
     """A solve's integer t >= 1 and tau in [0, 1) (NaN fails both), before any work."""
-    _check_depth(t)
+    _check_count(t, "t")
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
 
@@ -153,8 +162,7 @@ def _drive(P, rounds, stop, max_rounds, unit):
     ``rounds`` yields, (factor, the RoundRecord fields but round and ms), until
     a record's nres is <= stop.  At the cap, NoConvergence carries the last
     factor.  Round k's factor is dropped before round k + 1 runs."""
-    if not (isinstance(max_rounds, numbers.Integral) and max_rounds >= 1):
-        raise ValueError("max_%s must be an integer >= 1" % unit)
+    _check_count(max_rounds, "max_" + unit)
     if not stop >= 0:
         raise ValueError("stop must be >= 0")
     if not np.any(P.C):
@@ -191,7 +199,7 @@ def _krylov_blocks(W0, rapply, count):
 
 def _krylov_stack(W0, rapply, B, t):
     """Blocks W0, W0 R, ..., W0 R^{t-1} with W R = rapply(W), and VB = V_{t-1} B."""
-    _check_depth(t)
+    _check_count(t, "t")
     blocks = list(_krylov_blocks(W0, rapply, t - 1))
     VB = (np.vstack([blk @ B for blk in blocks[:-1]]) if t > 1
           else np.zeros((0, B.shape[1])))
@@ -204,16 +212,14 @@ def build_krylov_stack(P, t):
 
 
 def _sweep_base(P, t):
-    """(inner T = toepL(V_{t-1}B), its structured inverse, factor rows of X_t from 0).
-
-    T and the inverse are None at t = 1.
-    """
+    """The sweep of X_t from 0, with inner T = toepL(V_{t-1}B); None for T and
+    the inverse at t = 1."""
     stack = build_krylov_stack(P, t)
     if t == 1:
-        return None, None, P.C.copy()
+        return Sweep(LowRankFactor(P.C.copy()), None, None)
     T = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m))
     inv = solve_sweep_systems(T)
-    return T, inv, np.vstack([P.C, inv.apply(stack.Vt[P.l:])])
+    return Sweep(LowRankFactor(np.vstack([P.C, inv.apply(stack.Vt[P.l:])])), inv, T)
 
 
 def _initial_term(P, base, Gamma, t):
@@ -223,18 +229,17 @@ def _initial_term(P, base, Gamma, t):
     small products Gamma A^k B (k < t) and the last block Gamma A^t are kept,
     so one g x n block is live at a time instead of t + 1.
     """
-    T, inv, rows = base
     g = Gamma.shape[0]
     gpow = _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t)
     gb = [next(gpow) @ P.B for _ in range(t)]
     GAt = next(gpow)
-    S = rows[P.l:]
-    if inv is None:
+    S = base.factor.S[P.l:]
+    if base.inv is None:
         XiG = np.zeros((0, g))
     else:
         # coupling columns: T applied to the reversed GB stack
         M = np.vstack([gb[t - 1 - j].T for j in range(t - 1)])
-        XiG = inv.apply(bt_apply(T, M))
+        XiG = base.inv.apply(bt_apply(base.T, M))
 
     WG = np.eye(g) + sum(gbk @ gbk.T for gbk in gb) - XiG.T @ XiG
     LG = chol(WG, "initial-term coupling matrix W_Gamma")
@@ -243,7 +248,7 @@ def _initial_term(P, base, Gamma, t):
 
 def fta_dare_sweep(P, t):
     """Factor of the DRE iterate X_t from X_0 = 0; S'S = X_t."""
-    return LowRankFactor(_sweep_base(P, t)[2])
+    return _sweep_base(P, t).factor
 
 
 def fta_dare_arbitrary(P, Gamma, t):
@@ -256,7 +261,7 @@ def fta_dare_arbitrary(P, Gamma, t):
     if not np.any(Gamma):
         return fta_dare_sweep(P, t)
     base = _sweep_base(P, t)
-    return LowRankFactor(np.vstack([base[2], _initial_term(P, base, Gamma, t)]))
+    return LowRankFactor(np.vstack([base.factor.S, _initial_term(P, base, Gamma, t)]))
 
 
 def compress_factor(factor, tau, sigma_max=None):
@@ -285,12 +290,12 @@ def compress_factor(factor, tau, sigma_max=None):
 def _dare_rounds(P, t, tau):
     """Build the sweep once; each later restart appends its initial-term rows."""
     base = _sweep_base(P, t)
-    raw = base[2]
+    raw = base.factor.S
     while True:
         factor = compress_factor(LowRankFactor(raw), tau)
         yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P),
                            rank=factor.r, rows_in=raw.shape[0])
-        raw = np.vstack([base[2], _initial_term(P, base, factor.S, t)])
+        raw = np.vstack([base.factor.S, _initial_term(P, base, factor.S, t)])
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):

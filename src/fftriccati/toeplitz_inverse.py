@@ -8,8 +8,8 @@ block-Toeplitz factors with
 U1 = toepU(Q2 LQ^{-T}) and U2 = toepU([Q3; 0] LW^{-T}), where LQ and LW
 are the Cholesky factors of Q2's bottom block Q2b and of W~.  Only the
 transposes are formed, as toepU(u)' = toepL(u reversed, blocks transposed).
-The inverse is carried as one dense upper-triangular R of order dim = t p1,
-the R of a QR of the stacked [U1'; U2'], so that R'R = (I + T T')^{-1}.
+The inverse is R alone: the dense upper-triangular R, of order dim = t p1,
+of a QR of the stacked [U1'; U2'], so that R'R = (I + T T')^{-1}.
 Contracting a Krylov stack V with R gives dim rows Xi = R V with
 Xi'Xi = V'(I + T T')^{-1} V, one GEMM instead of two FFT products over all
 of V's columns.
@@ -19,7 +19,8 @@ block column of the identity, and Q3 solves its trailing principal
 submatrix, the last t - 1 block rows, driven by the strict part of the
 column.  The continuous sweep passes its column [Y; D] with the corner
 block Y on the diagonal; the discrete sweep passes its inner (t-1)-block
-column toepL(V_{t-1}B), whose closed form has no corner block.
+column toepL(V_{t-1}B), whose closed form has no corner block.  Each sweep
+returns one ``dare.Sweep`` record: its factor, this inverse and T.
 
 Every Gram solve runs PCG to a relative residual of 1e-12 and accepts a
 column at the conditioning floor of ``_solve_spd``.  A Gram solve stops at
@@ -49,13 +50,11 @@ def _lower_inv(L):
 
 @dataclass
 class StructuredInverse:
-    t: int  # block order of the represented system
-    p1: int
-    R: np.ndarray  # dim x dim upper triangular, R'R = (I + TT')^{-1}
+    R: np.ndarray  # dim x dim upper triangular, R'R = (I + TT')^{-1}, dim = t p1
 
     @property
     def dim(self):
-        return self.p1 * self.t
+        return self.R.shape[0]
 
     def apply(self, V):
         """Normalized contraction Xi = R V with Xi'Xi = V' M^{-1} V."""
@@ -127,4 +126,4 @@ def solve_sweep_systems(T):
     R = np.linalg.qr(np.vstack([
         bt_apply(BlockToeplitzSpec(u[::-1].transpose(0, 2, 1)), eye)
         for u in (u1_blocks, u2_blocks)]), mode="r")
-    return StructuredInverse(t, p1, R)
+    return StructuredInverse(R)

@@ -128,6 +128,12 @@ def random_care_instance(seed, n, m, l):
     return A, B, C
 
 
+def dense_care_residual(P, X):
+    """A'X + XA - XBB'X + C'C of a RiccatiProblem, with A densified."""
+    A = P.A.toarray()
+    return A.T @ X + X @ A - X @ P.B @ P.B.T @ X + P.C.T @ P.C
+
+
 def radi_delta_check(P, X_factor, Ct, gamma):
     """Dense one-step RADI correction in closed form (n <= 64).
 

@@ -14,7 +14,8 @@ from fftriccati.errors import (DimensionMismatch, FftRiccatiError, NoConvergence
                                SingularShift)
 from fftriccati.residuals import nres_care
 
-from oracles import radi_delta_check, random_care_instance, sda_care_init
+from oracles import (dense_care_residual, radi_delta_check, random_care_instance,
+                     sda_care_init)
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 ANTISTABLE_ROOT = (1.0 + np.sqrt(5.0)) / 4.0  # positive root of 1 + 2x - 4x^2 = 0
@@ -22,11 +23,6 @@ ANTISTABLE_ROOT = (1.0 + np.sqrt(5.0)) / 4.0  # positive root of 1 + 2x - 4x^2 =
 
 def scalar_problem(a=-1.0, b=1.0, c=1.0):
     return RiccatiProblem(np.array([[a]]), np.array([[b]]), np.array([[c]]))
-
-
-def dense_care_residual(P, X):
-    A = P.A.toarray()
-    return A.T @ X + X @ A - X @ P.B @ P.B.T @ X + P.C.T @ P.C
 
 
 def laplacian_problem(n, m, l, seed=0):
@@ -255,7 +251,7 @@ class TestSweep:
 
     def test_t_validated(self):
         sys = cayley_transform(scalar_problem(), 1.0)
-        for t in (0, 2.5):
+        for t in (0, 2.5, True):
             with pytest.raises(ValueError, match="t must be an integer >= 1"):
                 fta_care_sweep(sys, t)
 
@@ -473,6 +469,8 @@ class TestSolve:
             fta_care_solve(scalar_problem(), gamma0=1.0, max_rounds=0)
         with pytest.raises(ValueError, match="max_rounds must be an integer"):
             fta_care_solve(scalar_problem(c=0.0), gamma0=1.0, max_rounds=2.5)
+        with pytest.raises(ValueError, match="max_rounds must be an integer"):
+            fta_care_solve(scalar_problem(c=0.0), gamma0=1.0, max_rounds=True)
 
     @pytest.mark.parametrize("stop", [-1.0, np.nan])
     def test_stop_must_be_nonnegative(self, stop):

@@ -1,6 +1,10 @@
 """Batch command-line front end: generation, runs, artifacts, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -63,11 +67,19 @@ class TestGen:
                                       tmp_path / "y")
         np.testing.assert_array_equal(scipy.io.mmread(b1), scipy.io.mmread(b2))
 
-    def test_bad_kind_and_size(self, tmp_path):
+    def test_bad_kind_and_size(self, tmp_path, capsys):
         with pytest.raises(ValueError):
             generate_synthetic("hilbert", 8, 1, 1, 0, tmp_path)
         with pytest.raises(ValueError):
             generate_synthetic("laplacian1d_stable", 2, 1, 1, 0, tmp_path)
+        for m, l in ((0, 1), (1, 0), (-1, 1)):
+            with pytest.raises(ValueError, match="m and l must be >= 1"):
+                generate_synthetic("laplacian1d_stable", 8, m, l, 0, tmp_path / "x")
+            assert not (tmp_path / "x").exists()
+        for flag in ("--m", "--l"):
+            assert main(["gen", "--kind", "laplacian1d_stable", "--n", "8", flag, "0",
+                         "--out-dir", str(tmp_path / "x")]) == 1
+            assert capsys.readouterr().err.count("error:") == 1
 
     def test_gen_via_main(self, tmp_path):
         rc = main(["gen", "--kind", "laplacian1d_stable", "--n", "8",
@@ -139,7 +151,6 @@ class TestRun:
         assert abs(summary["final_nres"] - nres_care(LowRankFactor(S), P)) <= 1e-12
 
     def test_dare_run_matches_library(self, tmp_path):
-        rng = np.random.default_rng(3)
         from oracles import random_dare_instance
         from fftriccati.dare import fta_dare_solve
         A, B, C = random_dare_instance(3, 12, 2, 2)
@@ -421,6 +432,30 @@ class TestErrors:
         cfg = write_config(tmp_path, {"equation": "dare", "a": str(bad),
                                       "b": str(bad), "c": str(bad)})
         assert main(["run", "--config", cfg]) == 1
+
+    @pytest.mark.parametrize("key,header", [
+        ("a", "array real general\n0 0"),
+        ("c", "array real general\n0 3"),
+        ("c", "coordinate real general\n0 3 0"),
+        ("b", "array real general\n3 0"),
+    ], ids=["a-0x0", "c-array-0x3", "c-coordinate-0x3", "b-3x0"])
+    def test_zero_dimension_matrix_rejected(self, tmp_path, key, header):
+        # mmread dies of SIGFPE on a 0-row array file: run the CLI in a child
+        # process so that such a crash fails this test instead of the suite
+        paths = write_matrices(tmp_path, -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        Path(paths[key]).write_text("%%%%MatrixMarket matrix %s\n" % header)
+        cfg = write_config(tmp_path, dict(paths, equation="care",
+                                          out_dir=str(tmp_path / "out")))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, (src, os.environ.get("PYTHONPATH")))))
+        proc = subprocess.run([sys.executable, "-m", "fftriccati.cli", "run",
+                               "--config", cfg], capture_output=True, text=True,
+                              env=env, timeout=120)
+        assert proc.returncode == 1, proc.stderr
+        assert proc.stderr.startswith("error: %s: " % key.upper())
+        assert proc.stderr.count("\n") == 1 and "at least one row" in proc.stderr
+        assert not (tmp_path / "out" / "summary.json").exists()
 
     def test_incompatible_shapes(self, tmp_path, capsys):
         scipy.io.mmwrite(tmp_path / "a.mtx", np.eye(3))

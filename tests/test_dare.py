@@ -113,7 +113,7 @@ class TestKrylovStack:
 
     def test_t_validated(self):
         P = scalar_problem()
-        for t in (0, 2.5):
+        for t in (0, 2.5, True):
             for call in (lambda: build_krylov_stack(P, t), lambda: fta_dare_sweep(P, t),
                          lambda: fta_dare_arbitrary(P, np.ones((1, 1)), t)):
                 with pytest.raises(ValueError, match="t must be an integer >= 1"):
@@ -301,6 +301,8 @@ class TestSolve:
             fta_dare_solve(scalar_problem(0.5), max_restarts=0)
         with pytest.raises(ValueError, match="max_restarts must be an integer"):
             fta_dare_solve(scalar_problem(0.5, c=0.0), max_restarts=2.5)
+        with pytest.raises(ValueError, match="max_restarts must be an integer"):
+            fta_dare_solve(scalar_problem(0.5, c=0.0), max_restarts=True)
 
     @pytest.mark.parametrize("stop", [-1.0, np.nan])
     def test_stop_must_be_nonnegative(self, stop):

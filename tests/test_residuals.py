@@ -9,11 +9,7 @@ from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import DimensionMismatch, ZeroRhs
 from fftriccati.residuals import nres_care, nres_dare, nres_factor
 
-from oracles import random_care_instance, random_dare_instance
-
-
-def dense_care_resid(P, X):
-    return P.A.T @ X + X @ P.A - X @ P.B @ P.B.T @ X + P.C.T @ P.C
+from oracles import dense_care_residual, random_care_instance, random_dare_instance
 
 
 def dense_dare_resid(P, X):
@@ -49,7 +45,7 @@ class TestCare:
             rng = np.random.default_rng(100 + seed)
             S = rng.standard_normal((r, n)) / np.sqrt(n)
             nres = nres_care(LowRankFactor(S), P)
-            dense = np.linalg.norm(dense_care_resid(P, S.T @ S))
+            dense = np.linalg.norm(dense_care_residual(P, S.T @ S))
             denom = np.linalg.norm(C.T @ C)
             assert abs(nres * denom - dense) <= 1e-11 * max(1.0, dense)
             assert abs(nres - dense / denom) <= 1e-11
@@ -64,7 +60,7 @@ class TestCare:
         P = RiccatiProblem(A, B, C)
         S = psd_factor(scipy.linalg.solve_continuous_are(A, B, C.T @ C, np.eye(2)))
         nres = nres_care(LowRankFactor(S), P)
-        dense = np.linalg.norm(dense_care_resid(P, S.T @ S)) / np.linalg.norm(C.T @ C)
+        dense = np.linalg.norm(dense_care_residual(P, S.T @ S)) / np.linalg.norm(C.T @ C)
         assert nres > 0.0
         assert abs(nres - dense) <= 1e-12
 
