@@ -142,7 +142,8 @@ def default_gamma0(A):
 
 
 def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
-    """Yield each incorporation round's factor and record fields to ``_drive``."""
+    """Yield each incorporation round's factor and record fields to ``_drive``;
+    only S_acc and C_round outlive a round (its sweep dies before the stack)."""
     gamma = float(gamma0) if gamma0 is not None else default_gamma0(P.A)
     S_acc = np.zeros((0, P.n))
     rank = 0  # rows of S_acc at its last compression; rows below it are new
@@ -155,12 +156,14 @@ def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
             gamma *= 1.5  # single retry with a nudged shift
             sys = cayley_transform(P, gamma, C_round, feedback)
         sweep = fta_care_sweep(sys, t)
+        C_round = residual_factor(sys, sweep, C_round)
         rows = sweep.factor.S
         if rank:  # compressed rows come first, sorted: row 0's norm is sigma_max
             rows = compress_factor(sweep.factor, tau, np.linalg.norm(S_acc[0])).S
+        del sweep, sys, feedback
         S_acc = np.vstack([S_acc, rows])
+        del rows
         rows_in = S_acc.shape[0]
-        C_round = residual_factor(sys, sweep, C_round)
         cheap = nres_factor(C_round, P)
         check = cheap <= stop or rnd == max_rounds
         if rows_in > rank and (check or rows_in >= 2 * rank):

@@ -161,7 +161,8 @@ def _drive(P, rounds, stop, max_rounds, unit):
     """The outer loop of both solvers: time and record what the generator
     ``rounds`` yields, (factor, the RoundRecord fields but round and ms), until
     a record's nres is <= stop.  At the cap, NoConvergence carries the last
-    factor.  Round k's factor is dropped before round k + 1 runs."""
+    factor.  Round k's factor is dropped before round k + 1 runs; across rounds
+    the CARE keeps S_acc and C_round, the DARE its base sweep and last factor."""
     _check_count(max_rounds, "max_" + unit)
     if not stop >= 0:
         raise ValueError("stop must be >= 0")
@@ -288,14 +289,19 @@ def compress_factor(factor, tau, sigma_max=None):
 
 
 def _dare_rounds(P, t, tau):
-    """Build the sweep once; each later restart appends its initial-term rows."""
+    """Build the sweep once; each later restart appends its initial-term rows.
+    Kept across restarts: the base sweep, and the last factor until those rows."""
     base = _sweep_base(P, t)
     raw = base.factor.S
     while True:
         factor = compress_factor(LowRankFactor(raw), tau)
+        # a suspended generator keeps its locals alive: drop n-wide ones at last use
+        rows_in = raw.shape[0]
+        del raw
         yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P),
-                           rank=factor.r, rows_in=raw.shape[0])
+                           rank=factor.r, rows_in=rows_in)
         raw = np.vstack([base.factor.S, _initial_term(P, base, factor.S, t)])
+        del factor
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):

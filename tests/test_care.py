@@ -1,5 +1,8 @@
 """Continuous-time Riccati solver: Cayley system, sweeps, incorporation."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -641,3 +644,29 @@ class TestStopTest:
         assert abs(last.nres - exact) <= 1e-12
         assert last.nres_factor is not None
         assert "%.3e" % exact in str(exc.value)
+
+
+class TestRoundLifetimes:
+    """A suspended round generator keeps its locals: none may be a spent sweep."""
+
+    def test_sweep_rows_released_before_next_cayley_transform(self, monkeypatch):
+        refs, alive = [], []
+        sweep, transform = care.fta_care_sweep, care.cayley_transform
+
+        def recorded_sweep(*args):
+            out = sweep(*args)
+            refs.append(weakref.ref(out.factor.S))
+            return out
+
+        def checked_transform(*args):
+            gc.collect()
+            alive.append([ref() is not None for ref in refs])
+            return transform(*args)
+
+        monkeypatch.setattr(care, "fta_care_sweep", recorded_sweep)
+        monkeypatch.setattr(care, "cayley_transform", checked_transform)
+        with pytest.raises(NoConvergence) as exc:
+            fta_care_solve(laplacian_problem(400, 2, 2), gamma0=1.5, t_per_round=8,
+                           stop=0.0, max_rounds=4)
+        assert len(exc.value.history) == 4
+        assert alive == [[], [False], [False, False], [False, False, False]]

@@ -1,13 +1,15 @@
 """Discrete-time Riccati sweeps, restarts, and compression."""
 
+import gc
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
 import scipy.linalg
 import scipy.sparse
 
-from fftriccati import dare
+from fftriccati import dare, residuals
 from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              compress_factor, fta_dare_arbitrary,
                              fta_dare_solve, fta_dare_sweep)
@@ -463,3 +465,33 @@ class TestInitialTermStreams:
         P = scalar_problem(a=100.0)
         with pytest.raises(StackBlowup, match="depth 2"):
             fta_dare_arbitrary(P, np.array([[3e147]]), 2)
+
+
+class TestRestartLifetimes:
+    """A suspended restart generator keeps its locals: none may be a spent stack."""
+
+    def test_stack_and_last_factor_released(self, monkeypatch):
+        stacks, factors, stack_alive, factor_alive = [], [], [], []
+        compress, nres = dare.compress_factor, residuals.nres_dare
+
+        def recorded_compress(factor, tau):
+            gc.collect()
+            factor_alive.append([ref() is not None for ref in factors])
+            stacks.append(weakref.ref(factor.S))
+            out = compress(factor, tau)
+            factors.append(weakref.ref(out.S))
+            return out
+
+        def checked_nres(factor, P):
+            gc.collect()
+            stack_alive.append(stacks[-1]() is not None)
+            return nres(factor, P)
+
+        monkeypatch.setattr(dare, "compress_factor", recorded_compress)
+        monkeypatch.setattr(residuals, "nres_dare", checked_nres)
+        with pytest.raises(NoConvergence) as exc:
+            fta_dare_solve(heat_problem(400), t_per_restart=8, stop=0.0, max_restarts=4)
+        assert len(exc.value.history) == 4
+        # restart 1 compresses the base rows, which the solve keeps throughout
+        assert stack_alive == [True, False, False, False]
+        assert factor_alive == [[], [False], [False, False], [False, False, False]]
