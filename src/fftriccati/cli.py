@@ -1,9 +1,10 @@
 """Batch front end: load Matrix Market problem data, solve, emit artifacts.
 
-A run reads a JSON config (flags override individual keys), executes the
-configured DARE/CARE solve, and writes three files into the output
-directory: ``factor.mtx`` (the final low-rank factor S, array format, with
-X ~ S'S; a run without factor rows writes one zero row of length n),
+A run reads a JSON config (flags override individual keys), calls the
+configured DARE/CARE solver with the keywords ``_KEYS`` maps the set keys to
+(an unset key takes the solver's default), and writes three files into the
+output directory: ``factor.mtx`` (the final low-rank factor S, array format,
+with X ~ S'S; a run without factor rows writes one zero row of length n),
 ``summary.json`` and ``trace.csv`` with one row per outer round.
 
 Exit codes: 0 converged, 1 input error, 2 no convergence, 3 numerical
@@ -24,24 +25,27 @@ import scipy.io
 import scipy.sparse
 
 from .care import fta_care_solve
-from .dare import RiccatiProblem, SolveResult, fta_dare_solve
+from .dare import LowRankFactor, RiccatiProblem, SolveResult, fta_dare_solve
 from .errors import FftRiccatiError, NoConvergence, ParseError
 
 _NUMBER = (int, float)
-# key: (default, accepted types, description); bool is rejected although it is an int
+# key: (accepted types, description, fta_care_solve keyword, fta_dare_solve keyword),
+# None where a solver has no such setting; bool is rejected although it is an int
 _KEYS = {
-    "equation": (None, str, "a string"),
-    "a": (None, str, "a string"),
-    "b": (None, str, "a string"),
-    "c": (None, str, "a string"),
-    "gamma0": (None, _NUMBER + (type(None),), "a number or null"),
-    "shift_decay": (1.01, _NUMBER, "a number"),
-    "t": (32, int, "an integer"),
-    "tau": (1e-12, _NUMBER, "a number"),
-    "stop_tol": (1e-8, _NUMBER, "a number"),
-    "max_rounds": (40, int, "an integer"),
-    "out_dir": (".", str, "a string"),
+    "equation": (str, "a string", None, None),
+    "a": (str, "a string", None, None),
+    "b": (str, "a string", None, None),
+    "c": (str, "a string", None, None),
+    "gamma0": (_NUMBER + (type(None),), "a number or null", "gamma0", None),
+    "shift_decay": (_NUMBER, "a number", "shift_decay", None),
+    "t": (int, "an integer", "t_per_round", "t_per_restart"),
+    "tau": (_NUMBER, "a number", "tau", "tau"),
+    "stop_tol": (_NUMBER, "a number", "stop", "stop"),
+    "max_rounds": (int, "an integer", "max_rounds", "max_restarts"),
+    "out_dir": (str, "a string", None, None),
 }
+# equation: (solver, the column of its keywords in _KEYS)
+_SOLVERS = {"care": (fta_care_solve, 2), "dare": (fta_dare_solve, 3)}
 
 
 def _read_matrix(path, what):
@@ -52,13 +56,12 @@ def _read_matrix(path, what):
         if rows == 0 or cols == 0:
             raise ParseError("%s: %s is %d x %d; it needs at least one row and one column"
                              % (what, path, rows, cols))
-        M = scipy.io.mmread(path)
+        return scipy.io.mmread(path)
     except OSError as exc:
         raise ParseError("%s: cannot read %s: %s" % (what, path, exc)) from exc
     except ValueError as exc:
         raise ParseError("%s: malformed Matrix Market file %s: %s"
                          % (what, path, exc)) from exc
-    return M
 
 
 def _remove_artifacts(out_dir):
@@ -67,50 +70,48 @@ def _remove_artifacts(out_dir):
 
 
 def load_config(args):
-    """The run's config; once its out_dir is known, before any other check,
-    an earlier run's artifacts there are deleted, so an input error (exit 1)
-    does not leave them looking current.  ``--out-dir`` is known before the
-    config file is read, so an unreadable or malformed file is covered too."""
+    """The keys the config file or a flag set, and ``out_dir`` (default ".").
+    Once out_dir is known, before any other check, an earlier run's artifacts
+    there are deleted, so an input error (exit 1) does not leave them looking
+    current.  ``--out-dir`` is known before the config file is read, so an
+    unreadable or malformed file is covered too."""
     if args.out_dir is not None:
         _remove_artifacts(args.out_dir)
-    cfg = {key: default for key, (default, _, _) in _KEYS.items()}
-    user = {}
+    cfg = {}
     if args.config:
         try:
             with open(args.config) as fh:
-                user = json.load(fh)
+                cfg = json.load(fh)
         except OSError as exc:
             raise ParseError("cannot read config %s: %s" % (args.config, exc)) from exc
         except json.JSONDecodeError as exc:
             raise ParseError("config %s: line %d column %d: %s"
                              % (args.config, exc.lineno, exc.colno, exc.msg)) from exc
-        if not isinstance(user, dict):
+        if not isinstance(cfg, dict):
             raise ParseError("config %s must be a JSON object, got %s"
-                             % (args.config, type(user).__name__))
-        cfg.update(user)
-    named = set(user)  # keys set by the config or a flag
-    for key in ("equation", "gamma0", "t", "stop_tol", "max_rounds", "out_dir"):
-        val = getattr(args, key, None)
-        if val is not None:
-            cfg[key] = val
-            named.add(key)
-    if isinstance(cfg["out_dir"], str):
-        _remove_artifacts(cfg["out_dir"])
-    unknown = set(user) - set(_KEYS)
+                             % (args.config, type(cfg).__name__))
+    cfg.update((key, val) for key, val in vars(args).items()
+               if key in _KEYS and val is not None)
+    out_dir = cfg.setdefault("out_dir", ".")
+    if isinstance(out_dir, str):
+        _remove_artifacts(out_dir)
+    unknown = set(cfg) - set(_KEYS)
     if unknown:
         raise ParseError("config keys not recognized: %s" % ", ".join(sorted(unknown)))
-    if cfg["equation"] not in ("dare", "care"):
+    if cfg.get("equation") not in ("dare", "care"):  # not _SOLVERS: a list is unhashable
         raise ParseError("equation must be 'dare' or 'care'")
-    care_only = sorted(named & {"gamma0", "shift_decay"})
-    if cfg["equation"] == "dare" and care_only:
-        raise ParseError("config keys not used by a DARE run: %s" % ", ".join(care_only))
+    col = _SOLVERS[cfg["equation"]][1]
+    # keys another solver takes and this one does not: gamma0, shift_decay on a DARE
+    unused = sorted(key for key in cfg if any(_KEYS[key][2:]) and not _KEYS[key][col])
+    if unused:
+        raise ParseError("config keys not used by a %s run: %s"
+                         % (cfg["equation"].upper(), ", ".join(unused)))
     for key in ("a", "b", "c"):
-        if not cfg[key]:
+        if not cfg.get(key):
             raise ParseError("missing input path %r" % key)
-    for key, (_, kinds, what) in _KEYS.items():
-        val = cfg[key]
-        if isinstance(val, bool) or not isinstance(val, kinds):
-            raise ParseError("%s must be %s, got %s" % (key, what, json.dumps(val)))
+    for key, (kinds, what, _, _) in _KEYS.items():
+        if key in cfg and (isinstance(cfg[key], bool) or not isinstance(cfg[key], kinds)):
+            raise ParseError("%s must be %s, got %s" % (key, what, json.dumps(cfg[key])))
     return cfg
 
 
@@ -124,8 +125,7 @@ def _write_outputs(out_dir, equation, n, result, total_ms):
     out.mkdir(parents=True, exist_ok=True)
     factor, history = result
     # one zero row keeps S'S n x n; mmwrite of a 0 x n array is not safe
-    S = factor.S if factor is not None and factor.S.size else np.zeros((1, n))
-    scipy.io.mmwrite(out / "factor.mtx", S)
+    scipy.io.mmwrite(out / "factor.mtx", factor.S if factor.S.size else np.zeros((1, n)))
     with open(out / "trace.csv", "w") as fh:
         fh.write("round,t,gamma,nres,rank,ms\n")
         for rec in history:
@@ -136,39 +136,32 @@ def _write_outputs(out_dir, equation, n, result, total_ms):
         "converged": result.converged,
         "rounds": len(history),
         "final_nres": history[-1].nres if history else (0.0 if result.converged else None),
-        "final_rank": factor.r if factor is not None else 0,
+        "final_rank": factor.r,
         "total_time_ms": total_ms,
         "note": result.note,
     }
     with open(out / "summary.json", "w") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return summary
 
 
 def run(cfg):
     """Execute one configured solve; returns the process exit code."""
     problem = load_problem(cfg)
+    solver, col = _SOLVERS[cfg["equation"]]
+    settings = {_KEYS[key][col]: val for key, val in cfg.items() if _KEYS[key][col]}
     tic = time.perf_counter()
-    failure_code = 2
+    code = 0  # a solver returns only a converged result
     try:
-        if cfg["equation"] == "care":
-            result = fta_care_solve(
-                problem, gamma0=cfg["gamma0"], t_per_round=int(cfg["t"]),
-                shift_decay=float(cfg["shift_decay"]), tau=float(cfg["tau"]),
-                stop=float(cfg["stop_tol"]), max_rounds=int(cfg["max_rounds"]))
-        else:
-            result = fta_dare_solve(
-                problem, t_per_restart=int(cfg["t"]), tau=float(cfg["tau"]),
-                stop=float(cfg["stop_tol"]), max_restarts=int(cfg["max_rounds"]))
+        result = solver(problem, **settings)
     except NoConvergence as exc:
-        result = SolveResult(exc.factor, exc.history or [], False, str(exc))
+        result, code = SolveResult(exc.factor, exc.history, False, str(exc)), 2
     except FftRiccatiError as exc:
-        result = SolveResult(None, [], False, "%s: %s" % (type(exc).__name__, exc))
-        failure_code = 3
+        result, code = SolveResult(LowRankFactor(np.zeros((0, problem.n))), [], False,
+                                   "%s: %s" % (type(exc).__name__, exc)), 3
     total_ms = 1000.0 * (time.perf_counter() - tic)
     _write_outputs(cfg["out_dir"], cfg["equation"], problem.n, result, total_ms)
-    return 0 if result.converged else failure_code
+    return code
 
 
 def generate_synthetic(kind, n, m, l, seed, out_dir):

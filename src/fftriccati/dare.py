@@ -45,6 +45,9 @@ class RiccatiProblem:
     C: np.ndarray
 
     def __post_init__(self):
+        for name in "ABC":  # the dtype, not the data: a float cast drops imaginary parts
+            if np.iscomplexobj(getattr(self, name)):
+                raise DimensionMismatch("%s must be real" % name)
         A = (self.A.tocsr() if scipy.sparse.issparse(self.A)
              else scipy.sparse.csr_matrix(np.asarray(self.A, dtype=float)))
         B = np.atleast_2d(to_dense(self.B))
@@ -254,6 +257,8 @@ def fta_dare_sweep(P, t):
 
 def fta_dare_arbitrary(P, Gamma, t):
     """Factor of the DRE iterate X_t from X_0 = Gamma'Gamma."""
+    if np.iscomplexobj(Gamma):
+        raise DimensionMismatch("Gamma must be real")
     Gamma = np.atleast_2d(np.asarray(Gamma, dtype=float))
     if Gamma.shape[1] != P.n:
         raise DimensionMismatch("Gamma must have n columns")
@@ -304,7 +309,8 @@ def _dare_rounds(P, t, tau):
         del factor
 
 
-def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-10, max_restarts=20):
-    """Restarted sweeps until nres_dare <= stop; unpacks as (factor, history)."""
+def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-8, max_restarts=40):
+    """Restarted sweeps until nres_dare <= stop; unpacks as (factor, history).
+    tau, stop and the restart cap default to ``fta_care_solve``'s values."""
     _check_sweep_settings(t_per_restart, tau)
     return _drive(P, _dare_rounds(P, t_per_restart, tau), stop, max_restarts, "restarts")

@@ -6,7 +6,7 @@ class FftRiccatiError(Exception):
 
 
 class DimensionMismatch(FftRiccatiError):
-    pass
+    """Input of the wrong shape, or with non-finite or complex entries."""
 
 
 class PcgFailure(FftRiccatiError):

@@ -9,10 +9,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.io
+import scipy.sparse
 
+from fftriccati.care import fta_care_solve
 from fftriccati.cli import generate_synthetic, main
 from fftriccati.residuals import nres_care
-from fftriccati.dare import LowRankFactor, RiccatiProblem
+from fftriccati.dare import LowRankFactor, RiccatiProblem, fta_dare_solve
+from oracles import random_dare_instance
 
 
 def write_matrices(tmp_path, a, b, c):
@@ -166,6 +169,27 @@ class TestRun:
         factor, _ = fta_dare_solve(RiccatiProblem(A, B, C), t_per_restart=8,
                                    stop=1e-10)
         np.testing.assert_array_equal(S, factor.S)
+
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    def test_unset_keys_take_library_defaults(self, tmp_path, equation):
+        # the config sets t and the CARE's shift only: every other setting must be
+        # the solver's own default, so the run is the library call bit for bit
+        if equation == "care":
+            abc = (np.array([[-1.0]]), np.array([[1.0]]), np.array([[1.0]]))
+            shift = {"gamma0": 1.0}
+            result = fta_care_solve(RiccatiProblem(*abc), gamma0=1.0, t_per_round=2)
+        else:
+            abc, shift = random_dare_instance(0, 12, 2, 2), {}
+            result = fta_dare_solve(RiccatiProblem(*abc), t_per_restart=2)
+        out = tmp_path / "out"
+        cfg = write_config(tmp_path, {"equation": equation, "t": 2, "out_dir": str(out),
+                                      **shift, **write_matrices(tmp_path, *abc)})
+        assert main(["run", "--config", cfg]) == 0
+        S = np.atleast_2d(np.asarray(scipy.io.mmread(out / "factor.mtx")))
+        np.testing.assert_array_equal(S, result.factor.S)
+        summary = json.loads((out / "summary.json").read_text())
+        assert summary["rounds"] == len(result.history)
+        assert summary["final_nres"] == result.history[-1].nres
 
     def test_flag_overrides_config(self, tmp_path):
         paths = write_scalar_care(tmp_path)
@@ -388,6 +412,17 @@ class TestErrors:
         assert err == ["error: gamma0 must be positive and finite"]
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("equation", ["care", "dare"])
+    def test_complex_matrix_market_rejected(self, tmp_path, capsys, equation):
+        # a "coordinate complex" file reads as a complex128 sparse A
+        paths = write_matrices(tmp_path, -np.eye(3), np.ones((3, 1)), np.ones((1, 3)))
+        scipy.io.mmwrite(paths["a"], scipy.sparse.coo_matrix(-(1.0 + 0.5j) * np.eye(3)))
+        cfg = write_config(tmp_path, {
+            "equation": equation, "out_dir": str(tmp_path / "out"), **paths})
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: A must be real\n"
+        assert not (tmp_path / "out").exists()
+
     def test_config_must_be_an_object(self, tmp_path, capsys):
         cfg = write_config(tmp_path, [1, 2])
         assert main(["run", "--config", cfg]) == 1
@@ -407,6 +442,12 @@ class TestErrors:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error: %s must be " % key)
         assert not (tmp_path / "out").exists()
+
+    def test_list_equation_is_input_error(self, tmp_path, capsys):
+        paths = write_scalar_care(tmp_path)
+        cfg = write_config(tmp_path, {"equation": ["care"], **paths})
+        assert main(["run", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "error: equation must be 'dare' or 'care'\n"
 
     def test_missing_equation(self, tmp_path, capsys):
         cfg = write_config(tmp_path, {"a": "a.mtx", "b": "b.mtx", "c": "c.mtx"})

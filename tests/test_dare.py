@@ -63,6 +63,17 @@ class TestProblem:
         with pytest.raises(DimensionMismatch, match="A must be finite"):
             RiccatiProblem(A, np.ones((3, 1)), np.ones((1, 3)))
 
+    # the dtype decides: a float cast drops imaginary parts, a sparse A kept them
+    @pytest.mark.parametrize("name,sparse", [("A", False), ("A", True), ("B", False),
+                                             ("C", False)],
+                             ids=["A-dense", "A-sparse", "B", "C"])
+    def test_complex_input_rejected(self, name, sparse):
+        mats = {"A": -np.eye(3), "B": np.ones((3, 1)), "C": np.ones((1, 3))}
+        mats[name] = mats[name] * (1.0 + 0.5j)
+        if sparse:
+            mats[name] = scipy.sparse.csr_array(mats[name])
+        with pytest.raises(DimensionMismatch, match="%s must be real" % name):
+            RiccatiProblem(mats["A"], mats["B"], mats["C"])
 
     def test_a_stored_as_csr(self):
         A = np.array([[-1.0, 2.0, 0.0], [0.0, -3.0, 0.5], [0.0, 0.0, -2.0]])
@@ -202,6 +213,10 @@ class TestArbitraryInit:
         monkeypatch.setattr(dare, "_sweep_base", no_sweep)
         with pytest.raises(DimensionMismatch, match="Gamma must be finite"):
             fta_dare_arbitrary(scalar_problem(), np.array([[bad]]), 2)
+
+    def test_complex_gamma_rejected(self):
+        with pytest.raises(DimensionMismatch, match="Gamma must be real"):
+            fta_dare_arbitrary(scalar_problem(0.5), np.array([[1.0 + 1.0j]]), 2)
 
     def test_empty_gamma_is_plain_sweep(self):
         A, B, C = random_dare_instance(4, 10, 2, 2)
