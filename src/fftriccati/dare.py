@@ -7,10 +7,12 @@ X_t = C'C + V'(I + T T')^{-1}V with V = [CA; ...; CA^{t-1}] and T the lower
 block-Toeplitz matrix of the t - 1 blocks V_{t-1}B = [CB; ...; CA^{t-2}B].
 One "sweep" evaluates that closed form through the structured inverse,
 returning a factor S with S'S = X_t.  A start
-X_0 = Gamma'Gamma only appends g rows, so a solve builds the sweep once and
-each restart appends the initial-term rows of its compressed factor.  Those
-rows need Gamma A^k B (k < t) and Gamma A^t only, so a restart propagates
-Gamma with one live g x n block.
+X_0 = Gamma'Gamma only appends g rows, so a solve builds the sweep once:
+restart 1 compresses the sweep's rows, and each later restart stacks the
+initial-term rows of the last factor on restart 1's factor and compresses
+again.  Those rows need Gamma A^k B (k < t), one GEMM per chunk of the thin
+chain B, AB, ..., and Gamma A^t, so a restart propagates Gamma with one live
+g x n block.
 
 The problem type, the low-rank factor, the sweep and round records, the
 guarded Krylov-block builder, the factor compression and the outer loop
@@ -227,27 +229,34 @@ def _sweep_base(P, t):
 
 
 def _initial_term(P, base, Gamma, t):
-    """Rows S_Gamma that the start X_0 = Gamma'Gamma appends to the base rows.
+    """Rows S_Gamma that the start X_0 = Gamma'Gamma adds to the sweep's rows;
+    the coupling with the sweep reads its raw rows, so a solve may stack
+    S_Gamma on the compressed ones.
 
-    Gamma is propagated through the same powers of A as a stream: only the
-    small products Gamma A^k B (k < t) and the last block Gamma A^t are kept,
-    so one g x n block is live at a time instead of t + 1.
+    GB = [Gamma B, Gamma AB, ..., Gamma A^{t-1}B] takes one GEMM per chunk of
+    the thin chain B, AB, ...; a chunk spans max(1, g // m) steps, so it is
+    never wider than Gamma.  Gamma itself is propagated to Gamma A^t as a
+    stream, so one live g x n block and one chunk are held, whatever t.
     """
-    g = Gamma.shape[0]
-    gpow = _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t)
-    gb = [next(gpow) @ P.B for _ in range(t)]
-    GAt = next(gpow)
+    g, m = Gamma.shape[0], P.m
+    step = max(1, g // m)
+    bpow = _krylov_blocks(P.B, lambda W: P.A @ W, t - 1)
+    GB = np.hstack([Gamma @ np.hstack([next(bpow) for _ in range(k, min(k + step, t))])
+                    for k in range(0, t, step)])
+    for GAt in _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t):
+        pass  # keeps only the last block, Gamma A^t
     S = base.factor.S[P.l:]
     if base.inv is None:
         XiG = np.zeros((0, g))
     else:
-        # coupling columns: T applied to the reversed GB stack
-        M = np.vstack([gb[t - 1 - j].T for j in range(t - 1)])
+        # coupling columns: T applied to the GB blocks t-1, ..., 1, stacked as rows
+        M = GB.T.reshape(t, m, g)[:0:-1].reshape(-1, g)
         XiG = base.inv.apply(bt_apply(base.T, M))
 
-    WG = np.eye(g) + sum(gbk @ gbk.T for gbk in gb) - XiG.T @ XiG
-    LG = chol(WG, "initial-term coupling matrix W_Gamma")
-    return scipy.linalg.solve_triangular(LG, GAt - XiG.T @ S, lower=True)
+    LG = chol(np.eye(g) + GB @ GB.T - XiG.T @ XiG, "initial-term coupling matrix W_Gamma")
+    # L_G^{-1} Z as Z' L_G'^{-1}, on Z's transposed view: no copy of Z into F order
+    return scipy.linalg.blas.dtrsm(1.0, LG, (GAt - XiG.T @ S).T, side=1, lower=1,
+                                   trans_a=1, overwrite_b=1).T
 
 
 def fta_dare_sweep(P, t):
@@ -294,19 +303,22 @@ def compress_factor(factor, tau, sigma_max=None):
 
 
 def _dare_rounds(P, t, tau):
-    """Build the sweep once; each later restart appends its initial-term rows.
-    Kept across restarts: the base sweep, and the last factor until those rows."""
+    """Build the sweep once; restart 1 compresses its rows, and each later restart
+    stacks its initial-term rows on that compressed base and compresses again.
+    Kept across restarts: the base sweep (its raw rows feed the coupling of
+    ``_initial_term``), restart 1's factor, and the last factor until its rows."""
     base = _sweep_base(P, t)
-    raw = base.factor.S
+    first = factor = compress_factor(base.factor, tau)
+    rows_in = base.factor.r
     while True:
-        factor = compress_factor(LowRankFactor(raw), tau)
-        # a suspended generator keeps its locals alive: drop n-wide ones at last use
-        rows_in = raw.shape[0]
-        del raw
         yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P),
                            rank=factor.r, rows_in=rows_in)
-        raw = np.vstack([base.factor.S, _initial_term(P, base, factor.S, t)])
+        # a suspended generator keeps its locals alive: drop n-wide ones at last use
+        raw = np.vstack([first.S, _initial_term(P, base, factor.S, t)])
         del factor
+        factor = compress_factor(LowRankFactor(raw), tau)
+        rows_in = raw.shape[0]
+        del raw
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-8, max_restarts=40):

@@ -15,6 +15,7 @@ from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              fta_dare_solve, fta_dare_sweep)
 from fftriccati.errors import (DimensionMismatch, NoConvergence, StackBlowup)
 from fftriccati.residuals import nres_dare
+from fftriccati.toeplitz import bt_apply
 
 from oracles import dre_dense, random_dare_instance
 
@@ -405,7 +406,8 @@ class TestSolve:
         assert len(history) >= 4
         assert history[0].rows_in == 8 * 2  # the sweep's t * l base rows
         for prev, rec in zip(history, history[1:]):
-            assert rec.rows_in == 8 * 2 + prev.rank
+            # later restarts stack on the compressed base, restart 1's factor
+            assert rec.rows_in == history[0].rank + prev.rank
 
 
 class TestSolveBuildsSweepOnce:
@@ -437,13 +439,37 @@ class TestSolveBuildsSweepOnce:
         except NoConvergence as exc:
             factor, history = exc.factor, exc.history
         assert len(history) >= 4
+        # every restart stacks its initial-term rows on restart 1's compressed base
+        first = chain = compress_factor(fta_dare_sweep(P, t), tau)
+        for k, rec in enumerate(history):
+            if k:
+                term = fta_dare_arbitrary(P, chain.S, t).S[t * P.l:]
+                chain = compress_factor(LowRankFactor(np.vstack([first.S, term])), tau)
+            assert rec.nres == nres_dare(chain, P)
+            assert rec.rank == chain.r
+        assert np.array_equal(factor.S, chain.S)
+
+    @pytest.mark.parametrize("instance, t", [
+        ((8, 32, 2, 2), 8), ((8, 32, 2, 2), 1), ((3, 60, 3, 2), 12), ((5, 40, 1, 3), 5),
+        ("heat400", 32)])  # restart 1 keeps 19 of the heat sweep's 32 rows
+    def test_gram_matches_chain_on_uncompressed_base(self, instance, t):
+        P = (heat_problem(400) if instance == "heat400"
+             else RiccatiProblem(*random_dare_instance(*instance)))
+        tau = 1e-12
+        try:
+            factor, history = fta_dare_solve(P, t_per_restart=t, tau=tau,
+                                             stop=1e-10, max_restarts=6)
+        except NoConvergence as exc:
+            factor, history = exc.factor, exc.history
+        assert len(history) >= 2
+        # each link stacks the raw sweep rows, as fta_dare_arbitrary returns them
         chain = compress_factor(fta_dare_sweep(P, t), tau)
         for k, rec in enumerate(history):
             if k:
                 chain = compress_factor(fta_dare_arbitrary(P, chain.S, t), tau)
-            assert rec.nres == nres_dare(chain, P)
             assert rec.rank == chain.r
-        assert np.array_equal(factor.S, chain.S)
+        X = chain.gram()
+        assert np.linalg.norm(factor.gram() - X) <= 1e-12 * np.linalg.norm(X)
 
 
 def heat_problem(n):
@@ -481,11 +507,44 @@ class TestInitialTermStreams:
         with pytest.raises(StackBlowup, match="depth 2"):
             fta_dare_arbitrary(P, np.array([[3e147]]), 2)
 
+    def test_guard_reports_depth_inside_b_chain(self):
+        # A^2 B = 1e151 trips the 1e150 guard at the B chain's second step, while
+        # the sweep (CB = 1, CAB = 1e3) and Gamma A^3 = 1e9 stay finite
+        P = RiccatiProblem(np.array([[1e3]]), np.array([[1e145]]), np.array([[1e-145]]))
+        with pytest.raises(StackBlowup, match="depth 2"):
+            fta_dare_arbitrary(P, np.array([[1.0]]), 3)
+
+    @pytest.mark.parametrize("m, g, t", [
+        # g = 7, m = 2: chunks of 3 steps; t = 1, 2, step, step + 1, 2 step + 1
+        (2, 7, 1), (2, 7, 2), (2, 7, 3), (2, 7, 4), (2, 7, 7),
+        # g < m: one step per chunk
+        (3, 2, 1), (3, 2, 2), (3, 2, 5)])
+    def test_chunked_products_match_per_step_reference(self, m, g, t):
+        A, B, C = random_dare_instance(4, 40, m, 2)
+        P = RiccatiProblem(A, B, C)
+        Gamma = 0.3 * np.random.default_rng(5).standard_normal((g, 40))
+        base = dare._sweep_base(P, t)
+        # the per-step form: Gamma A^k propagated densely, then (Gamma A^k) B
+        GA = [Gamma]
+        for _ in range(t):
+            GA.append(GA[-1] @ A)
+        gb = [Gk @ B for Gk in GA[:t]]
+        if t == 1:
+            XiG = np.zeros((0, g))
+        else:
+            M = np.vstack([gb[k].T for k in range(t - 1, 0, -1)])
+            XiG = base.inv.apply(bt_apply(base.T, M))
+        LG = np.linalg.cholesky(np.eye(g) + sum(b @ b.T for b in gb) - XiG.T @ XiG)
+        ref = scipy.linalg.solve_triangular(LG, GA[t] - XiG.T @ base.factor.S[P.l:],
+                                            lower=True)
+        rows = dare._initial_term(P, base, Gamma, t)
+        assert np.linalg.norm(rows - ref) <= 1e-12 * np.linalg.norm(ref)
+
 
 class TestRestartLifetimes:
     """A suspended restart generator keeps its locals: none may be a spent stack."""
 
-    def test_stack_and_last_factor_released(self, monkeypatch):
+    def test_stack_and_last_factor_released_first_factor_kept(self, monkeypatch):
         stacks, factors, stack_alive, factor_alive = [], [], [], []
         compress, nres = dare.compress_factor, residuals.nres_dare
 
@@ -507,6 +566,7 @@ class TestRestartLifetimes:
         with pytest.raises(NoConvergence) as exc:
             fta_dare_solve(heat_problem(400), t_per_restart=8, stop=0.0, max_restarts=4)
         assert len(exc.value.history) == 4
-        # restart 1 compresses the base rows, which the solve keeps throughout
+        # restart 1 compresses the base rows, which the solve keeps throughout;
+        # its factor is kept too, as the base every later restart stacks on
         assert stack_alive == [True, False, False, False]
-        assert factor_alive == [[], [False], [False, False], [False, False, False]]
+        assert factor_alive == [[], [True], [True, False], [True, False, False]]
