@@ -6,13 +6,19 @@ The fixed-point iterate X_t admits the closed form
 X_t = C'C + V'(I + T T')^{-1}V with V = [CA; ...; CA^{t-1}] and T the lower
 block-Toeplitz matrix of the t - 1 blocks V_{t-1}B = [CB; ...; CA^{t-2}B].
 One "sweep" evaluates that closed form through the structured inverse,
-returning a factor S with S'S = X_t.  A start
-X_0 = Gamma'Gamma only appends g rows, so a solve builds the sweep once:
-restart 1 compresses the sweep's rows, and each later restart stacks the
-initial-term rows of the last factor on restart 1's factor and compresses
-again.  Those rows need Gamma A^k B (k < t), one GEMM per chunk of the thin
-chain B, AB, ..., and Gamma A^t, so a restart propagates Gamma with one live
-g x n block.
+returning a factor S with S'S = X_t.  A start X_0 = Gamma'Gamma only appends
+g rows (``fta_dare_arbitrary``); they need Gamma A^k B (k < t), one GEMM per
+chunk of the thin chain B, AB, ..., and Gamma A^t, so Gamma is propagated
+with one live g x n block.
+
+A solve's restarts are defect sweeps instead (Mehrmann and Tan, IEEE TAC
+1988).  The DRE step F satisfies F(X + Delta) - F(X) =
+A_c'Delta(I + B_c B_c'Delta)^{-1}A_c with the closed loop A_c = (I + BB'X)^{-1}A
+and B_c = B L'^{-1} (LL' = I + B'XB), so from X = S'S a restart sweeps that
+closed loop from 0 with the residual F(X) - X = D'D (l rows) as its constant
+term, and X + Delta_t = F^t(X).  Its next residual factor is the coupling of
+the start D'D, read off the same Krylov stack one block deeper; restart 1
+(S = 0, D = C) is the plain sweep.
 
 The problem type, the low-rank factor, the sweep and round records, the
 guarded Krylov-block builder, the factor compression and the outer loop
@@ -119,7 +125,7 @@ class KrylovStack:
 class Sweep:
     """One sweep: X_t's factor, T and the structured inverse of I + TT'."""
 
-    factor: LowRankFactor  # CARE: R Vt; DARE: [C; R V], V without its first block
+    factor: LowRankFactor  # CARE: R Vt; DARE: [D; R V], V without its first block
     inv: object  # StructuredInverse; None for the DARE's t = 1 sweep
     T: BlockToeplitzSpec  # None where inv is
 
@@ -132,7 +138,7 @@ class RoundRecord:
     nres: float  # the value the stop test used
     rank: int  # CARE: the stack's rows; only some rounds compress it
     ms: float
-    nres_factor: float = None  # CARE only: ||C_k C_k'||_F / ||CC'||_F
+    nres_factor: float = None  # ||C_k C_k'||_F / ||CC'||_F of the residual factor (DARE: D)
     rows_in: int = None  # the stack's rows before the round's compression, if any
 
 
@@ -167,7 +173,7 @@ def _drive(P, rounds, stop, max_rounds, unit):
     ``rounds`` yields, (factor, the RoundRecord fields but round and ms), until
     a record's nres is <= stop.  At the cap, NoConvergence carries the last
     factor.  Round k's factor is dropped before round k + 1 runs; across rounds
-    the CARE keeps S_acc and C_round, the DARE its base sweep and last factor."""
+    the CARE keeps S_acc and C_round, the DARE its factor S and residual factor D."""
     _check_count(max_rounds, "max_" + unit)
     if not stop >= 0:
         raise ValueError("stop must be >= 0")
@@ -217,21 +223,44 @@ def build_krylov_stack(P, t):
     return _krylov_stack(P.C, lambda W: rowmul(W, P.A), P.B, t)
 
 
-def _sweep_base(P, t):
-    """The sweep of X_t from 0, with inner T = toepL(V_{t-1}B); None for T and
-    the inverse at t = 1."""
-    stack = build_krylov_stack(P, t)
+def _sweep(stack, t):
+    """The sweep of X_t from 0 on a stack of depth >= t from D = stack.blocks[0]:
+    rows [D; R V] with V = [DA; ...; DA^{t-1}] and inner T = toepL(V_{t-1}B);
+    None for T and the inverse at t = 1."""
+    D = stack.blocks[0]
     if t == 1:
-        return Sweep(LowRankFactor(P.C.copy()), None, None)
-    T = BlockToeplitzSpec(stack.VB.reshape(t - 1, P.l, P.m))
+        return Sweep(LowRankFactor(D.copy()), None, None)
+    T = BlockToeplitzSpec(stack.VB[:(t - 1) * D.shape[0]].reshape(t - 1, D.shape[0], -1))
     inv = solve_sweep_systems(T)
-    return Sweep(LowRankFactor(np.vstack([P.C, inv.apply(stack.Vt[P.l:])])), inv, T)
+    return Sweep(LowRankFactor(np.vstack([D, inv.apply(np.vstack(stack.blocks[1:t]))])),
+                 inv, T)
+
+
+def _sweep_base(P, t):
+    """The sweep of X_t from 0 for the problem's own A, B and C."""
+    return _sweep(build_krylov_stack(P, t), t)
+
+
+def _coupled_rows(sweep, GB, GAt):
+    """Rows S_G with S_G'S_G = X_t(G'G) - X_t(0): what a start X_0 = G'G adds to
+    the sweep's rows, from GB = [G B, G AB, ..., G A^{t-1}B] and G A^t (which it
+    may overwrite).  The coupling reads the sweep's raw rows R V, so a solve may
+    stack S_G on compressed ones."""
+    g = GB.shape[0]
+    Z, XiG = GAt, np.zeros((0, g))
+    if sweep.inv is not None:
+        # coupling columns: T applied to the GB blocks t-1, ..., 1, stacked as rows
+        M = GB.T.reshape(-1, sweep.T.p2, g)[:0:-1].reshape(-1, g)
+        XiG = sweep.inv.apply(bt_apply(sweep.T, M))
+        Z = GAt - XiG.T @ sweep.factor.S[-sweep.inv.dim:]
+    LG = chol(np.eye(g) + GB @ GB.T - XiG.T @ XiG, "initial-term coupling matrix W_Gamma")
+    # L_G^{-1} Z as Z' L_G'^{-1}, on Z's transposed view: no copy of Z into F order
+    return scipy.linalg.blas.dtrsm(1.0, LG, Z.T, side=1, lower=1, trans_a=1,
+                                   overwrite_b=1).T
 
 
 def _initial_term(P, base, Gamma, t):
-    """Rows S_Gamma that the start X_0 = Gamma'Gamma adds to the sweep's rows;
-    the coupling with the sweep reads its raw rows, so a solve may stack
-    S_Gamma on the compressed ones.
+    """Rows S_Gamma that the start X_0 = Gamma'Gamma adds to the sweep's rows.
 
     GB = [Gamma B, Gamma AB, ..., Gamma A^{t-1}B] takes one GEMM per chunk of
     the thin chain B, AB, ...; a chunk spans max(1, g // m) steps, so it is
@@ -245,18 +274,7 @@ def _initial_term(P, base, Gamma, t):
                     for k in range(0, t, step)])
     for GAt in _krylov_blocks(Gamma, lambda W: rowmul(W, P.A), t):
         pass  # keeps only the last block, Gamma A^t
-    S = base.factor.S[P.l:]
-    if base.inv is None:
-        XiG = np.zeros((0, g))
-    else:
-        # coupling columns: T applied to the GB blocks t-1, ..., 1, stacked as rows
-        M = GB.T.reshape(t, m, g)[:0:-1].reshape(-1, g)
-        XiG = base.inv.apply(bt_apply(base.T, M))
-
-    LG = chol(np.eye(g) + GB @ GB.T - XiG.T @ XiG, "initial-term coupling matrix W_Gamma")
-    # L_G^{-1} Z as Z' L_G'^{-1}, on Z's transposed view: no copy of Z into F order
-    return scipy.linalg.blas.dtrsm(1.0, LG, (GAt - XiG.T @ S).T, side=1, lower=1,
-                                   trans_a=1, overwrite_b=1).T
+    return _coupled_rows(base, GB, GAt)
 
 
 def fta_dare_sweep(P, t):
@@ -302,27 +320,51 @@ def compress_factor(factor, tau, sigma_max=None):
     return LowRankFactor(u[:, keep].T @ S)
 
 
-def _dare_rounds(P, t, tau):
-    """Build the sweep once; restart 1 compresses its rows, and each later restart
-    stacks its initial-term rows on that compressed base and compresses again.
-    Kept across restarts: the base sweep (its raw rows feed the coupling of
-    ``_initial_term``), restart 1's factor, and the last factor until its rows."""
-    base = _sweep_base(P, t)
-    first = factor = compress_factor(base.factor, tau)
-    rows_in = base.factor.r
-    while True:
-        yield factor, dict(t=t, gamma=0.0, nres=residuals.nres_dare(factor, P),
-                           rank=factor.r, rows_in=rows_in)
+def _closed_loop(P, S):
+    """B_c = B L'^{-1} and W -> W A_c for the closed loop of X = S'S, where
+    I + (SB)'(SB) = LL' and A_c = (I + BB'X)^{-1}A, so that
+    W A_c = W A - (W B_c) L^{-1}(SB)'(SA).  S = 0 gives A and B."""
+    SB = S @ P.B
+    L = chol(np.eye(P.m) + SB.T @ SB, "I + (SB)'(SB)")
+    B_c = scipy.linalg.solve_triangular(L, P.B.T, lower=True).T
+    K = scipy.linalg.solve_triangular(L, SB.T @ rowmul(S, P.A), lower=True)
+    return B_c, lambda W: rowmul(W, P.A) - (W @ B_c) @ K
+
+
+def _dare_rounds(P, t, tau, stop, max_restarts):
+    """Each restart sweeps the defect DARE of the closed loop of X = S'S from 0:
+    constant term D'D = F(X) - X, A_c and B_c of ``_closed_loop`` (Mehrmann and
+    Tan), so that X + Delta_t = F^t(X).  The sweep's rows are stacked on S and
+    compressed; the next D, with D'D = Delta_{t+1} - Delta_t, is the coupling
+    of the start D'D, read off the sweep's stack one block deeper.  Restart 1
+    has S = 0 and D = C.  Only S and D outlive a restart."""
+    S, D = np.zeros((0, P.n)), P.C
+    for rnd in range(1, max_restarts + 1):
+        B_c, rapply = _closed_loop(P, S)
+        stack = _krylov_stack(D, rapply, B_c, t + 1)
+        sweep = _sweep(stack, t)
+        GB = stack.VB.reshape(t, P.l, P.m).transpose(1, 0, 2).reshape(P.l, -1)
+        D = _coupled_rows(sweep, GB, stack.blocks[t])
         # a suspended generator keeps its locals alive: drop n-wide ones at last use
-        raw = np.vstack([first.S, _initial_term(P, base, factor.S, t)])
-        del factor
-        factor = compress_factor(LowRankFactor(raw), tau)
+        del stack, rapply, GB
+        raw = np.vstack([S, sweep.factor.S])
+        del sweep, S
+        S = compress_factor(LowRankFactor(raw), tau).S
         rows_in = raw.shape[0]
         del raw
+        cheap = residuals.nres_factor(D, P)
+        # D'D misses the compression error: confirm exactly
+        check = cheap <= stop or rnd == max_restarts
+        nres = residuals.nres_dare(LowRankFactor(S), P) if check else cheap
+        yield LowRankFactor(S), dict(t=t, gamma=0.0, nres=nres, rank=S.shape[0],
+                                     nres_factor=cheap, rows_in=rows_in)
 
 
 def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-8, max_restarts=40):
-    """Restarted sweeps until nres_dare <= stop; unpacks as (factor, history).
-    tau, stop and the restart cap default to ``fta_care_solve``'s values."""
+    """Restarted defect sweeps until nres_dare <= stop; unpacks as (factor, history).
+    tau, stop and the restart cap default to ``fta_care_solve``'s values.  The
+    exact ``nres_dare`` runs only where ``nres_factor`` reaches stop, and at the
+    cap; each record's ``nres`` is the value its stop test used."""
     _check_sweep_settings(t_per_restart, tau)
-    return _drive(P, _dare_rounds(P, t_per_restart, tau), stop, max_restarts, "restarts")
+    return _drive(P, _dare_rounds(P, t_per_restart, tau, stop, max_restarts), stop,
+                  max_restarts, "restarts")

@@ -7,11 +7,10 @@ is exact to rounding error (a Gram trace would lose half the digits to
 cancellation) — no n x n matrix is ever formed.  R comes from
 ``linops.qr_r`` (blocked LAPACK dgeqrt, Q never formed).
 
-The CARE loop calls ``nres_care`` only to confirm a stop (and once on a
-capped run); every round it calls ``nres_factor`` of its residual factor C_k,
-whose C_k'C_k is the residual before compression.  DARE restarts have no
-residual factor and call ``nres_dare`` every restart.  All three return the
-residual relative to ||C'C||_F as a float.
+Both loops call ``nres_care`` / ``nres_dare`` only to confirm a stop (and
+once on a capped run); every round they call ``nres_factor`` of the residual
+factor (CARE: C_k, DARE: D), whose Gram matrix is the residual before
+compression.  All three return the residual relative to ||C'C||_F as a float.
 """
 
 import numpy as np

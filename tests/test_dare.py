@@ -14,6 +14,7 @@ from fftriccati.dare import (LowRankFactor, RiccatiProblem, build_krylov_stack,
                              compress_factor, fta_dare_arbitrary,
                              fta_dare_solve, fta_dare_sweep)
 from fftriccati.errors import (DimensionMismatch, NoConvergence, StackBlowup)
+from fftriccati.linops import rowmul
 from fftriccati.residuals import nres_dare
 from fftriccati.toeplitz import bt_apply
 
@@ -386,34 +387,40 @@ class TestSolve:
     def test_history_records_are_complete(self):
         A, B, C = random_dare_instance(11, 10, 1, 1)
         P = RiccatiProblem(A, B, C)
-        _, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
+        factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
         for i, rec in enumerate(history, start=1):
             assert rec.round == i
             assert rec.t == 8
             assert rec.gamma == 0.0
             assert rec.ms >= 0.0
             assert rec.rank >= 0
-            assert rec.nres_factor is None  # restarts carry no residual factor
-        # nres recomputable from the returned factor
-        factor, history = fta_dare_solve(P, t_per_restart=8, stop=1e-10)
+            assert rec.nres_factor >= 0.0  # every restart carries its residual factor
+        for rec in history[:-1]:
+            assert rec.nres == rec.nres_factor  # above stop: the exact nres did not run
+        # the last nres is the exact one, recomputable from the returned factor
         assert abs(history[-1].nres - nres_dare(factor, P)) <= 1e-12
 
-
     def test_rows_in_is_base_rows_plus_previous_rank(self):
-        A, B, C = random_dare_instance(8, 32, 2, 2)
-        _, history = fta_dare_solve(RiccatiProblem(A, B, C), t_per_restart=8,
-                                    stop=1e-10, max_restarts=6)
-        assert len(history) >= 4
-        assert history[0].rows_in == 8 * 2  # the sweep's t * l base rows
-        for prev, rec in zip(history, history[1:]):
-            # later restarts stack on the compressed base, restart 1's factor
-            assert rec.rows_in == history[0].rank + prev.rank
+        # heat400 at t = 32: restart 1 keeps 19 of its 32 rows, so t * l and
+        # restart 1's rank differ
+        for P, t in [(RiccatiProblem(*random_dare_instance(8, 32, 2, 2)), 8),
+                     (heat_problem(400), 32)]:
+            try:
+                _, history = fta_dare_solve(P, t_per_restart=t, stop=1e-10, max_restarts=6)
+            except NoConvergence as exc:
+                history = exc.history
+            assert len(history) >= 4
+            assert history[0].rows_in == t * P.l  # the sweep's t * l rows
+            for prev, rec in zip(history, history[1:]):
+                # each restart stacks its sweep's t * l rows on the last factor
+                assert rec.rows_in == t * P.l + prev.rank
 
 
 class TestSolveBuildsSweepOnce:
-    """A restart appends its initial-term rows to the one sweep of the solve."""
+    """Each restart sweeps its closed-loop defect DARE from 0; in exact arithmetic
+    its factor is the restarted DRE iterate that ``fta_dare_arbitrary`` gives."""
 
-    def test_sweep_built_once_over_restarts(self, monkeypatch):
+    def test_one_structured_solve_per_restart(self, monkeypatch):
         calls = {"solve_sweep_systems": 0, "build_krylov_stack": 0}
         for name in calls:
             original = getattr(dare, name)
@@ -426,28 +433,8 @@ class TestSolveBuildsSweepOnce:
         _, history = fta_dare_solve(RiccatiProblem(A, B, C), t_per_restart=8,
                                     stop=1e-10, max_restarts=6)
         assert len(history) >= 4
-        assert calls == {"solve_sweep_systems": 1, "build_krylov_stack": 1}
-
-    @pytest.mark.parametrize("t", [8, 1])
-    def test_matches_public_restart_chain_bitwise(self, t):
-        A, B, C = random_dare_instance(8, 32, 2, 2)
-        P = RiccatiProblem(A, B, C)
-        tau = 1e-12
-        try:
-            factor, history = fta_dare_solve(P, t_per_restart=t, tau=tau,
-                                             stop=1e-10, max_restarts=6)
-        except NoConvergence as exc:
-            factor, history = exc.factor, exc.history
-        assert len(history) >= 4
-        # every restart stacks its initial-term rows on restart 1's compressed base
-        first = chain = compress_factor(fta_dare_sweep(P, t), tau)
-        for k, rec in enumerate(history):
-            if k:
-                term = fta_dare_arbitrary(P, chain.S, t).S[t * P.l:]
-                chain = compress_factor(LowRankFactor(np.vstack([first.S, term])), tau)
-            assert rec.nres == nres_dare(chain, P)
-            assert rec.rank == chain.r
-        assert np.array_equal(factor.S, chain.S)
+        # the closed loop changes every restart, restart 1's (A itself) included
+        assert calls == {"solve_sweep_systems": len(history), "build_krylov_stack": 0}
 
     @pytest.mark.parametrize("instance, t", [
         ((8, 32, 2, 2), 8), ((8, 32, 2, 2), 1), ((3, 60, 3, 2), 12), ((5, 40, 1, 3), 5),
@@ -544,9 +531,9 @@ class TestInitialTermStreams:
 class TestRestartLifetimes:
     """A suspended restart generator keeps its locals: none may be a spent stack."""
 
-    def test_stack_and_last_factor_released_first_factor_kept(self, monkeypatch):
+    def test_only_factor_and_residual_factor_outlive_a_restart(self, monkeypatch):
         stacks, factors, stack_alive, factor_alive = [], [], [], []
-        compress, nres = dare.compress_factor, residuals.nres_dare
+        compress, nres = dare.compress_factor, residuals.nres_factor
 
         def recorded_compress(factor, tau):
             gc.collect()
@@ -556,17 +543,72 @@ class TestRestartLifetimes:
             factors.append(weakref.ref(out.S))
             return out
 
-        def checked_nres(factor, P):
+        def checked_nres(C_k, P):
             gc.collect()
             stack_alive.append(stacks[-1]() is not None)
-            return nres(factor, P)
+            return nres(C_k, P)
 
         monkeypatch.setattr(dare, "compress_factor", recorded_compress)
-        monkeypatch.setattr(residuals, "nres_dare", checked_nres)
+        monkeypatch.setattr(residuals, "nres_factor", checked_nres)
         with pytest.raises(NoConvergence) as exc:
             fta_dare_solve(heat_problem(400), t_per_restart=8, stop=0.0, max_restarts=4)
         assert len(exc.value.history) == 4
-        # restart 1 compresses the base rows, which the solve keeps throughout;
-        # its factor is kept too, as the base every later restart stacks on
-        assert stack_alive == [True, False, False, False]
-        assert factor_alive == [[], [True], [True, False], [True, False, False]]
+        # each stack dies at its compression, and each factor once its rows are
+        # stacked: only S and D go from one restart to the next
+        assert stack_alive == [False] * 4
+        assert factor_alive == [[False] * k for k in range(4)]
+
+
+class TestDefectRestart:
+    """Restarts as defect sweeps of the closed loop, against the dense DRE."""
+
+    @pytest.mark.parametrize("t", [1, 4, 8])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_restarts_match_dense_dre(self, seed, t, monkeypatch):
+        A, B, C = random_dare_instance(seed, 60, 3, 2)
+        P = RiccatiProblem(A, B, C)
+        residual_factors = []
+        coupled = dare._coupled_rows
+
+        def recorded(*args):
+            residual_factors.append(coupled(*args))
+            return residual_factors[-1]
+        monkeypatch.setattr(dare, "_coupled_rows", recorded)
+        rounds = dare._dare_rounds(P, t, 0.0, 0.0, 6)
+        cc = np.linalg.norm(C.T @ C)
+        X = np.zeros((60, 60))
+        for k in range(1, 7):
+            factor, fields = next(rounds)
+            X = dre_dense(A, B, C, X, t)  # X_{kt}
+            assert np.linalg.norm(factor.gram() - X) <= 1e-12 * np.linalg.norm(X)
+            # the dense X_{kt+1} - X_{kt} cancels to about eps ||X||: its own floor
+            R = dre_dense(A, B, C, X, 1) - X
+            floor = 100.0 * np.finfo(float).eps * np.linalg.norm(X)
+            D = residual_factors[-1]
+            assert D.shape == (P.l, P.n)
+            assert np.linalg.norm(D.T @ D - R) <= 1e-8 * np.linalg.norm(R) + floor
+            assert abs(fields["nres_factor"] * cc - np.linalg.norm(R)) \
+                <= 1e-8 * np.linalg.norm(R) + floor
+        assert len(residual_factors) == 6
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_closed_loop_identity(self, seed):
+        # F(X + Delta) - F(X) = A_c' Delta (I + B_c B_c' Delta)^{-1} A_c
+        A, B, C = random_dare_instance(seed, 30, 3, 2)
+        P = RiccatiProblem(A, B, C)
+        rng = np.random.default_rng(seed)
+        S, G = rng.standard_normal((5, 30)), rng.standard_normal((4, 30))
+        X, Delta = S.T @ S, G.T @ G
+        B_c, rapply = dare._closed_loop(P, S)
+        A_c = rapply(np.eye(30))
+        lhs = dre_dense(A, B, C, X + Delta, 1) - dre_dense(A, B, C, X, 1)
+        rhs = A_c.T @ Delta @ np.linalg.solve(np.eye(30) + B_c @ B_c.T @ Delta, A_c)
+        assert np.linalg.norm(lhs - rhs) <= 1e-12 * np.linalg.norm(lhs)
+
+    def test_zero_factor_gives_the_open_loop(self):
+        # restart 1 (S = 0) runs the plain sweep of A, B and C, bit for bit
+        P = RiccatiProblem(*random_dare_instance(0, 30, 3, 2))
+        B_c, rapply = dare._closed_loop(P, np.zeros((0, 30)))
+        W = np.random.default_rng(0).standard_normal((2, 30))
+        assert np.array_equal(B_c, P.B)
+        assert np.array_equal(rapply(W), rowmul(W, P.A))
