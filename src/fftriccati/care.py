@@ -10,9 +10,9 @@ the DARE solver; the rounds here accumulate corrections: each round
 solves the residual equation of the closed-loop matrix A - BB'X_acc (applied
 through a Sherman-Morrison-Woodbury update of the fixed shifted
 factorization), truncates the new rows at tau * sigma_max of the accumulated
-factor, stacks the rest on it, and decays the shift.  The stack is
-compressed only when its row count doubles since its last compression, so a
-compression's cost is amortised over the rounds that grew it.
+factor (from Vt and R, R Vt never formed), stacks the rest on it, and decays
+the shift.  The stack, like the DARE's, is compressed only when its row
+count doubles since its last compression, amortising a compression's cost.
 
 Each round's residual comes from that factor: ``nres_factor`` costs O(l^2 n).
 It misses only the compression error, so the exact ``nres_care`` (a QR of
@@ -119,13 +119,23 @@ def cayley_transform(P, gamma, C_current=None, feedback=None):
                         Ctilde=scale * CA, Ygamma=CA @ P.B)
 
 
-def fta_care_sweep(sys, t):
-    """One structured sweep: the factor R Vt (t l rows) of the Cayley-DRE iterate X_t."""
+def _care_sweep(sys, t, form=False):
+    """The sweep's rows Vt and inverse, and with form its factor R Vt, formed
+    while the Krylov blocks live (freed first, they fragment glibc's heap:
+    sweep-deep5k peak RSS 236 -> 263 MB)."""
     stack = _krylov_stack(sys.Ctilde, sys.atilde_rapply, sys.Btilde, t)
     l, m = sys.Ctilde.shape[0], sys.Btilde.shape[1]
     T = BlockToeplitzSpec(np.vstack([sys.Ygamma, stack.VB]).reshape(t, l, m))
     inv = solve_sweep_systems(T)
-    return Sweep(LowRankFactor(inv.apply(stack.Vt)), inv, T)
+    sweep = Sweep(stack.Vt, inv, T)
+    if form:
+        sweep.factor
+    return sweep
+
+
+def fta_care_sweep(sys, t):
+    """One structured sweep: the factor R Vt (t l rows) of the Cayley-DRE iterate X_t."""
+    return _care_sweep(sys, t, form=True)
 
 
 def residual_factor(sys, sweep, C_in):
@@ -134,7 +144,7 @@ def residual_factor(sys, sweep, C_in):
     l = C_in.shape[0]
     ones = np.tile(np.eye(l), (sweep.inv.dim // l, 1))
     xi = sweep.inv.apply(ones)
-    return C_in + np.sqrt(2.0 * sys.gamma) * (xi.T @ sweep.factor.S)
+    return C_in + np.sqrt(2.0 * sys.gamma) * ((xi.T @ sweep.left) @ sweep.rows)
 
 
 def default_gamma0(A):
@@ -155,18 +165,19 @@ def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
         except SingularShift:
             gamma *= 1.5  # single retry with a nudged shift
             sys = cayley_transform(P, gamma, C_round, feedback)
-        sweep = fta_care_sweep(sys, t)
+        sweep = _care_sweep(sys, t)
         C_round = residual_factor(sys, sweep, C_round)
-        rows = sweep.factor.S
-        if rank:  # compressed rows come first, sorted: row 0's norm is sigma_max
-            rows = compress_factor(sweep.factor, tau, np.linalg.norm(S_acc[0])).S
+        # row 0's norm is sigma_max; round 1's cut, at its own, is its compression
+        rows = compress_factor(LowRankFactor(sweep.rows), tau,
+                               np.linalg.norm(S_acc[0]) if rank else None, left=sweep.left).S
+        rows_in = S_acc.shape[0] + (rows if rank else sweep.rows).shape[0]
         del sweep, sys, feedback
         S_acc = np.vstack([S_acc, rows])
         del rows
-        rows_in = S_acc.shape[0]
+        rank = rank or S_acc.shape[0]
         cheap = nres_factor(C_round, P)
         check = cheap <= stop or rnd == max_rounds
-        if rows_in > rank and (check or rows_in >= 2 * rank):
+        if S_acc.shape[0] > rank and (check or S_acc.shape[0] >= 2 * rank):
             S_acc = compress_factor(LowRankFactor(S_acc), tau).S
             rank = S_acc.shape[0]
         # the factor's norm misses the compression error: confirm exactly
@@ -180,14 +191,14 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
                    stop=1e-8, max_rounds=40):
     """Incorporation loop: sweep, truncate, stack, compress, decay the shift.
 
-    From round 2 on, ``compress_factor`` cuts the sweep's rows alone at
-    tau * ||S_acc[0]|| before they are stacked; ``residual_factor`` takes them
-    uncut.  S_acc[0] is row 0 of the last compressed factor, so its norm is
-    that factor's sigma_max, which X only outgrows.  The stack is compressed
-    when its rows reach twice the rank of its last compression (so in round
-    1), before an exact residual and before the factor leaves the loop.  A
-    round's two truncations move X by at most 2 tau^2 ||X||_2.  The feedback
-    reads the stack as it stands.
+    ``compress_factor`` cuts the sweep's rows R Vt alone, from Vt and R, at
+    tau * ||S_acc[0]|| (round 1: at their own sigma_max, a compression) before
+    they are stacked.  S_acc[0] is row 0 of the last compressed factor, so its
+    norm is that factor's sigma_max, which X only outgrows.  The stack is
+    compressed when its rows reach twice the rank of its last compression,
+    before an exact residual and before the factor leaves the loop.  A round's
+    two truncations move X by at most 2 tau^2 ||X||_2.  ``residual_factor``
+    takes the rows uncut, and the feedback reads the stack as it stands.
 
     Converged means the exact ``nres_care`` is <= stop; each record's ``nres``
     is the value its stop test used, ``nres_factor`` the residual factor's,

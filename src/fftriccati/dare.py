@@ -18,7 +18,8 @@ and B_c = B L'^{-1} (LL' = I + B'XB), so from X = S'S a restart sweeps that
 closed loop from 0 with the residual F(X) - X = D'D (l rows) as its constant
 term, and X + Delta_t = F^t(X).  Its next residual factor is the coupling of
 the start D'D, read off the same Krylov stack one block deeper; restart 1
-(S = 0, D = C) is the plain sweep.
+(S = 0, D = C) is the plain sweep.  Restarts cut each sweep's factor
+diag(I_l, R) [D; V] unformed and compress on the CARE's schedule.
 
 The problem type, the low-rank factor, the sweep and round records, the
 guarded Krylov-block builder, the factor compression and the outer loop
@@ -26,6 +27,7 @@ guarded Krylov-block builder, the factor compression and the outer loop
 continuous-time solver in ``care``; each solver only yields its rounds.
 """
 
+import functools
 import numbers
 import time
 from dataclasses import dataclass
@@ -123,11 +125,24 @@ class KrylovStack:
 
 @dataclass(frozen=True)
 class Sweep:
-    """One sweep: X_t's factor, T and the structured inverse of I + TT'."""
+    """One sweep: X_t's factor left @ rows, T and the structured inverse of I + TT'
+    with R'R = (I + TT')^{-1}; left = diag(I, R).  Loops cut the factor unformed."""
 
-    factor: LowRankFactor  # CARE: R Vt; DARE: [D; R V], V without its first block
+    rows: np.ndarray  # CARE: Vt; DARE: [D; V], V without its first block
     inv: object  # StructuredInverse; None for the DARE's t = 1 sweep
     T: BlockToeplitzSpec  # None where inv is
+
+    @property
+    def left(self):
+        R = self.inv.R if self.inv else np.zeros((0, 0))
+        return scipy.linalg.block_diag(np.eye(self.rows.shape[0] - R.shape[0]), R)
+
+    @functools.cached_property
+    def factor(self):
+        """left @ rows, formed once as [D; R V] (CARE: R V); D is copied, not multiplied."""
+        k = self.rows.shape[0] - (self.inv.dim if self.inv else 0)
+        tail = [self.inv.apply(self.rows[k:])] if self.inv else []
+        return LowRankFactor(np.vstack([self.rows[:k]] + tail) if k else tail[0])
 
 
 @dataclass
@@ -136,10 +151,10 @@ class RoundRecord:
     t: int
     gamma: float
     nres: float  # the value the stop test used
-    rank: int  # CARE: the stack's rows; only some rounds compress it
+    rank: int  # the stack's rows; only some rounds compress it
     ms: float
     nres_factor: float = None  # ||C_k C_k'||_F / ||CC'||_F of the residual factor (DARE: D)
-    rows_in: int = None  # the stack's rows before the round's compression, if any
+    rows_in: int = None  # the stack's rows before the round's compression (round 1: t l)
 
 
 @dataclass
@@ -225,15 +240,14 @@ def build_krylov_stack(P, t):
 
 def _sweep(stack, t):
     """The sweep of X_t from 0 on a stack of depth >= t from D = stack.blocks[0]:
-    rows [D; R V] with V = [DA; ...; DA^{t-1}] and inner T = toepL(V_{t-1}B);
+    rows [D; V] with V = [DA; ...; DA^{t-1}] and inner T = toepL(V_{t-1}B);
     None for T and the inverse at t = 1."""
-    D = stack.blocks[0]
     if t == 1:
-        return Sweep(LowRankFactor(D.copy()), None, None)
-    T = BlockToeplitzSpec(stack.VB[:(t - 1) * D.shape[0]].reshape(t - 1, D.shape[0], -1))
+        return Sweep(stack.blocks[0], None, None)
+    l = stack.blocks[0].shape[0]
+    T = BlockToeplitzSpec(stack.VB[:(t - 1) * l].reshape(t - 1, l, -1))
     inv = solve_sweep_systems(T)
-    return Sweep(LowRankFactor(np.vstack([D, inv.apply(np.vstack(stack.blocks[1:t]))])),
-                 inv, T)
+    return Sweep(np.vstack(stack.blocks[:t]), inv, T)
 
 
 def _sweep_base(P, t):
@@ -244,15 +258,15 @@ def _sweep_base(P, t):
 def _coupled_rows(sweep, GB, GAt):
     """Rows S_G with S_G'S_G = X_t(G'G) - X_t(0): what a start X_0 = G'G adds to
     the sweep's rows, from GB = [G B, G AB, ..., G A^{t-1}B] and G A^t (which it
-    may overwrite).  The coupling reads the sweep's raw rows R V, so a solve may
-    stack S_G on compressed ones."""
+    may overwrite).  The coupling reads the sweep's raw rows V as (XiG'R) V, so a
+    solve may stack S_G on compressed ones and R V is never formed."""
     g = GB.shape[0]
     Z, XiG = GAt, np.zeros((0, g))
     if sweep.inv is not None:
         # coupling columns: T applied to the GB blocks t-1, ..., 1, stacked as rows
         M = GB.T.reshape(-1, sweep.T.p2, g)[:0:-1].reshape(-1, g)
         XiG = sweep.inv.apply(bt_apply(sweep.T, M))
-        Z = GAt - XiG.T @ sweep.factor.S[-sweep.inv.dim:]
+        Z = GAt - (XiG.T @ sweep.inv.R) @ sweep.rows[-sweep.inv.dim:]
     LG = chol(np.eye(g) + GB @ GB.T - XiG.T @ XiG, "initial-term coupling matrix W_Gamma")
     # L_G^{-1} Z as Z' L_G'^{-1}, on Z's transposed view: no copy of Z into F order
     return scipy.linalg.blas.dtrsm(1.0, LG, Z.T, side=1, lower=1, trans_a=1,
@@ -297,27 +311,29 @@ def fta_dare_arbitrary(P, Gamma, t):
     return LowRankFactor(np.vstack([base.factor.S, _initial_term(P, base, Gamma, t)]))
 
 
-def compress_factor(factor, tau, sigma_max=None):
-    """Rank-truncated factor: the directions of S with singular values above
-    tau * sigma_max (default: S's own largest), as U_keep'S.
+def compress_factor(factor, tau, sigma_max=None, left=None):
+    """Rank-truncated factor: the directions of S, or of left @ S, with singular
+    values above tau * sigma_max (default: the factor's own largest), as U_keep'S.
 
     The kept rows are mutually orthogonal, sorted by norm, and their norms are
     the kept singular values, so without a sigma_max row 0's norm is sigma_max.
     With S' = QR (R only; Q is never formed) and R' = U diag(sv) W', the rows
     are U_keep'S = diag(sv) (QW)_keep'; the SVD is of the small square R', so
-    the cost is one thin QR and one GEMM against S.
+    the cost is one thin QR and one GEMM against S.  A small left = L cuts the
+    factor L S without forming it: L S = (L R')Q', so the SVD is of L R' and
+    the rows are (U_keep'L) S, at the same cost.
     """
     if not 0.0 <= tau < 1.0:
         raise ValueError("tau must lie in [0, 1)")
     S = factor.S
-    if not np.all(np.isfinite(S)):
+    if not (np.all(np.isfinite(S)) and (left is None or np.all(np.isfinite(left)))):
         raise StackBlowup("factor to compress has non-finite entries")
     if S.shape[0] == 0 or not np.any(S):
         return LowRankFactor(np.zeros((0, S.shape[1])))
-    R = qr_r(S.T)
+    R = qr_r(S.T) if left is None else qr_r(S.T) @ left.T
     u, sv, _ = np.linalg.svd(R.T, full_matrices=False)
     keep = sv > tau * (sv[0] if sigma_max is None else sigma_max)
-    return LowRankFactor(u[:, keep].T @ S)
+    return LowRankFactor((u[:, keep].T if left is None else u[:, keep].T @ left) @ S)
 
 
 def _closed_loop(P, S):
@@ -334,11 +350,13 @@ def _closed_loop(P, S):
 def _dare_rounds(P, t, tau, stop, max_restarts):
     """Each restart sweeps the defect DARE of the closed loop of X = S'S from 0:
     constant term D'D = F(X) - X, A_c and B_c of ``_closed_loop`` (Mehrmann and
-    Tan), so that X + Delta_t = F^t(X).  The sweep's rows are stacked on S and
-    compressed; the next D, with D'D = Delta_{t+1} - Delta_t, is the coupling
-    of the start D'D, read off the sweep's stack one block deeper.  Restart 1
-    has S = 0 and D = C.  Only S and D outlive a restart."""
+    Tan), so that X + Delta_t = F^t(X).  The sweep's rows are cut, stacked on
+    S and compressed on ``fta_care_solve``'s schedule; the next D, with D'D =
+    Delta_{t+1} - Delta_t, is the coupling of the start D'D, read off the
+    sweep's stack one block deeper.  Restart 1 has S = 0 and D = C.  Only S
+    and D outlive a restart."""
     S, D = np.zeros((0, P.n)), P.C
+    rank = 0  # rows of S at its last compression; rows below it are new
     for rnd in range(1, max_restarts + 1):
         B_c, rapply = _closed_loop(P, S)
         stack = _krylov_stack(D, rapply, B_c, t + 1)
@@ -347,14 +365,20 @@ def _dare_rounds(P, t, tau, stop, max_restarts):
         D = _coupled_rows(sweep, GB, stack.blocks[t])
         # a suspended generator keeps its locals alive: drop n-wide ones at last use
         del stack, rapply, GB
-        raw = np.vstack([S, sweep.factor.S])
-        del sweep, S
-        S = compress_factor(LowRankFactor(raw), tau).S
-        rows_in = raw.shape[0]
-        del raw
+        # row 0's norm is sigma_max; restart 1's cut, at its own, is its compression
+        rows = compress_factor(LowRankFactor(sweep.rows), tau,
+                               np.linalg.norm(S[0]) if rank else None, left=sweep.left).S
+        rows_in = S.shape[0] + (rows if rank else sweep.rows).shape[0]
+        del sweep
+        S = np.vstack([S, rows])
+        del rows
+        rank = rank or S.shape[0]
         cheap = residuals.nres_factor(D, P)
         # D'D misses the compression error: confirm exactly
         check = cheap <= stop or rnd == max_restarts
+        if S.shape[0] > rank and (check or S.shape[0] >= 2 * rank):
+            S = compress_factor(LowRankFactor(S), tau).S
+            rank = S.shape[0]
         nres = residuals.nres_dare(LowRankFactor(S), P) if check else cheap
         yield LowRankFactor(S), dict(t=t, gamma=0.0, nres=nres, rank=S.shape[0],
                                      nres_factor=cheap, rows_in=rows_in)

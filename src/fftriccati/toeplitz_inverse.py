@@ -20,7 +20,8 @@ submatrix, the last t - 1 block rows, driven by the strict part of the
 column.  The continuous sweep passes its column [Y; D] with the corner
 block Y on the diagonal; the discrete sweep passes its inner (t-1)-block
 column toepL(V_{t-1}B), whose closed form has no corner block.  Each sweep
-returns one ``dare.Sweep`` record: its factor, this inverse and T.
+returns one ``dare.Sweep`` record: its raw rows, this inverse and T; the
+solvers cut its factor diag(I, R) rows without forming it.
 
 Every Gram solve runs PCG to a relative residual of 1e-12 and accepts a
 column at the conditioning floor of ``_solve_spd``.  A Gram solve stops at

@@ -16,6 +16,7 @@ from fftriccati.dare import LowRankFactor, RiccatiProblem
 from fftriccati.errors import (DimensionMismatch, FftRiccatiError, NoConvergence,
                                SingularShift)
 from fftriccati.residuals import nres_care
+from fftriccati.toeplitz_inverse import StructuredInverse
 
 from oracles import (dense_care_residual, radi_delta_check, random_care_instance,
                      sda_care_init)
@@ -409,10 +410,10 @@ class TestSolve:
         calls = []
         original = care.compress_factor
 
-        def counted(factor, tau, sigma_max=None):
+        def counted(factor, tau, sigma_max=None, left=None):
             if sigma_max is None:  # a stack compression, not a new-row cut
                 calls.append(factor.r)
-            return original(factor, tau, sigma_max)
+            return original(factor, tau, sigma_max, left)
 
         monkeypatch.setattr(care, "compress_factor", counted)
         P = laplacian_problem(3000, 4, 4)
@@ -425,10 +426,10 @@ class TestSolve:
         floors = []
         original = care.compress_factor
 
-        def counted(factor, tau, sigma_max=None):
+        def counted(factor, tau, sigma_max=None, left=None):
             if sigma_max is not None:
                 floors.append(sigma_max)
-            return original(factor, tau, sigma_max)
+            return original(factor, tau, sigma_max, left)
 
         monkeypatch.setattr(care, "compress_factor", counted)
         P = laplacian_problem(3000, 4, 4)
@@ -525,6 +526,20 @@ class TestSolve:
         assert default_gamma0(A) == pytest.approx(0.1 * 3.0 / 3.0)
         assert default_gamma0(np.zeros((2, 2))) == 1e-6
 
+    def test_sweep_product_never_formed(self, monkeypatch):
+        # rounds cut R Vt from Vt and R: the inverse only meets l- or m-wide blocks
+        widths, original = [], StructuredInverse.apply
+
+        def recorded(self, V):
+            widths.append(V.shape[1])
+            return original(self, V)
+
+        monkeypatch.setattr(StructuredInverse, "apply", recorded)
+        P = laplacian_problem(200, 2, 2)
+        result = fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8)
+        assert result.converged and len(result.history) > 2
+        assert widths and max(widths) < P.n
+
 
 class TestStopTest:
     """Rounds stop on the residual factor's norm; the exact residual decides."""
@@ -618,10 +633,10 @@ class TestStopTest:
         calls = []
         original = care.compress_factor
 
-        def counted(factor, tau, sigma_max=None):
+        def counted(factor, tau, sigma_max=None, left=None):
             if sigma_max is None:  # a stack compression, not a new-row cut
                 calls.append(factor.r)
-            return original(factor, tau, sigma_max)
+            return original(factor, tau, sigma_max, left)
 
         monkeypatch.setattr(care, "compress_factor", counted)
         factors = []
@@ -651,11 +666,11 @@ class TestRoundLifetimes:
 
     def test_sweep_rows_released_before_next_cayley_transform(self, monkeypatch):
         refs, alive = [], []
-        sweep, transform = care.fta_care_sweep, care.cayley_transform
+        sweep, transform = care._care_sweep, care.cayley_transform
 
         def recorded_sweep(*args):
             out = sweep(*args)
-            refs.append(weakref.ref(out.factor.S))
+            refs.append(weakref.ref(out.rows))
             return out
 
         def checked_transform(*args):
@@ -663,7 +678,7 @@ class TestRoundLifetimes:
             alive.append([ref() is not None for ref in refs])
             return transform(*args)
 
-        monkeypatch.setattr(care, "fta_care_sweep", recorded_sweep)
+        monkeypatch.setattr(care, "_care_sweep", recorded_sweep)
         monkeypatch.setattr(care, "cayley_transform", checked_transform)
         with pytest.raises(NoConvergence) as exc:
             fta_care_solve(laplacian_problem(400, 2, 2), gamma0=1.5, t_per_round=8,

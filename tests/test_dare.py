@@ -17,6 +17,7 @@ from fftriccati.errors import (DimensionMismatch, NoConvergence, StackBlowup)
 from fftriccati.linops import rowmul
 from fftriccati.residuals import nres_dare
 from fftriccati.toeplitz import bt_apply
+from fftriccati.toeplitz_inverse import StructuredInverse
 
 from oracles import dre_dense, random_dare_instance
 
@@ -314,6 +315,76 @@ class TestCompress:
         assert kept.shape == (0, 300)
 
 
+def gapped_left(k, seed, tau):
+    """k x k matrix whose singular values sit a factor 1e3 or more from tau,
+    on both sides of it, so a cut at tau has one right rank."""
+    rng = np.random.default_rng(seed)
+    U, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    V, _ = np.linalg.qr(rng.standard_normal((k, k)))
+    sv = np.concatenate([np.logspace(0, np.log10(tau) + 3, k // 2),
+                         np.logspace(np.log10(tau) - 3, -15, k - k // 2)])
+    return (U * sv) @ V.T
+
+
+class TestCompressLeft:
+    """compress_factor(K, tau, sigma, left=W) cuts W K without forming it."""
+
+    @staticmethod
+    def assert_same_cut(K, W, tau, sigma_max=None):
+        fused = compress_factor(LowRankFactor(K), tau, sigma_max, left=W)
+        formed = compress_factor(LowRankFactor(W @ K), tau, sigma_max)
+        assert fused.r == formed.r
+        G = formed.gram()
+        assert np.linalg.norm(fused.gram() - G) <= 1e-12 * np.linalg.norm(G)
+        return fused
+
+    @pytest.mark.parametrize("rows, cols", [(40, 300), (64, 30)])
+    def test_random_rows_and_left(self, rows, cols):
+        rng = np.random.default_rng(rows + cols)
+        K, W = rng.standard_normal((rows, cols)), rng.standard_normal((rows, rows))
+        self.assert_same_cut(K, W, 1e-12)
+        self.assert_same_cut(K, W, 0.3)
+
+    @pytest.mark.parametrize("tau", [1e-4, 1e-8])
+    def test_spectral_gap_at_the_threshold(self, tau):
+        K = np.random.default_rng(2).standard_normal((48, 500))
+        W = gapped_left(48, 3, tau)
+        sigma_max = np.linalg.svd(W @ K, compute_uv=False)[0]
+        for sigma in (None, 2.0 * sigma_max):
+            out = self.assert_same_cut(K, W, tau, sigma)
+            assert out.r == 24
+
+    @pytest.mark.parametrize("t", [1, 8, 32])
+    def test_dare_sweep_left_factor(self, t):
+        # diag(I_l, R) at t > 1, the identity at t = 1 (the heat problem has l = 1)
+        sweep = dare._sweep_base(heat_problem(400), t)
+        W = sweep.left
+        assert W.shape == (t, t) and W[0, 0] == 1.0
+        assert not (np.any(W[0, 1:]) or np.any(W[1:, 0]))
+        for sigma in (None, 10.0 * np.linalg.norm(sweep.factor.S, 2)):
+            self.assert_same_cut(sweep.rows, W, 1e-12, sigma)
+
+    def test_solve_never_forms_the_sweep_product(self, monkeypatch):
+        # restarts cut [D; R V] from [D; V] and diag(I, R): R V is never formed
+        widths, original = [], StructuredInverse.apply
+
+        def recorded(self, V):
+            widths.append(V.shape[1])
+            return original(self, V)
+
+        monkeypatch.setattr(StructuredInverse, "apply", recorded)
+        P = heat_problem(400)
+        with pytest.raises(NoConvergence) as exc:
+            fta_dare_solve(P, t_per_restart=32, stop=0.0, max_restarts=4)
+        assert len(exc.value.history) == 4
+        assert widths and max(widths) < P.n
+
+    def test_non_finite_left_is_blowup(self):
+        with pytest.raises(StackBlowup):
+            compress_factor(LowRankFactor(np.ones((2, 5))), 1e-12,
+                            left=np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
 class TestSolve:
     def test_max_restarts_must_be_positive(self):
         with pytest.raises(ValueError, match="max_restarts"):
@@ -400,20 +471,34 @@ class TestSolve:
         # the last nres is the exact one, recomputable from the returned factor
         assert abs(history[-1].nres - nres_dare(factor, P)) <= 1e-12
 
-    def test_rows_in_is_base_rows_plus_previous_rank(self):
-        # heat400 at t = 32: restart 1 keeps 19 of its 32 rows, so t * l and
-        # restart 1's rank differ
+    def test_rows_in_is_base_rows_plus_previous_rank(self, monkeypatch):
+        # as test_care.py::test_rows_in_counts_truncated_sweep_rows: restart 1
+        # compresses the sweep alone; later restarts stack only the sweep rows
+        # above tau * sigma_max of the factor.  heat400 at t = 32: restart 1
+        # keeps 19 of its 32 rows, so t * l and restart 1's rank differ
+        cut, original = [], dare.compress_factor
+
+        def recorded(factor, tau, sigma_max=None, left=None):
+            out = original(factor, tau, sigma_max, left)
+            if left is not None:  # a sweep's cut, not a stack compression
+                cut.append(out.r)
+            return out
+
+        monkeypatch.setattr(dare, "compress_factor", recorded)
         for P, t in [(RiccatiProblem(*random_dare_instance(8, 32, 2, 2)), 8),
                      (heat_problem(400), 32)]:
+            cut.clear()
             try:
                 _, history = fta_dare_solve(P, t_per_restart=t, stop=1e-10, max_restarts=6)
             except NoConvergence as exc:
                 history = exc.history
             assert len(history) >= 4
             assert history[0].rows_in == t * P.l  # the sweep's t * l rows
-            for prev, rec in zip(history, history[1:]):
-                # each restart stacks its sweep's t * l rows on the last factor
-                assert rec.rows_in == t * P.l + prev.rank
+            assert history[0].rank == cut[0]
+            for prev, rec, kept in zip(history, history[1:], cut[1:]):
+                # each restart stacks its sweep's rows above the cut on the last factor
+                assert rec.rows_in == prev.rank + kept
+                assert kept <= t * P.l
 
 
 class TestSolveBuildsSweepOnce:
@@ -439,24 +524,34 @@ class TestSolveBuildsSweepOnce:
     @pytest.mark.parametrize("instance, t", [
         ((8, 32, 2, 2), 8), ((8, 32, 2, 2), 1), ((3, 60, 3, 2), 12), ((5, 40, 1, 3), 5),
         ("heat400", 32)])  # restart 1 keeps 19 of the heat sweep's 32 rows
-    def test_gram_matches_chain_on_uncompressed_base(self, instance, t):
+    def test_gram_matches_chain_on_uncompressed_base(self, instance, t, monkeypatch):
         P = (heat_problem(400) if instance == "heat400"
              else RiccatiProblem(*random_dare_instance(*instance)))
-        tau = 1e-12
-        try:
-            factor, history = fta_dare_solve(P, t_per_restart=t, tau=tau,
-                                             stop=1e-10, max_restarts=6)
-        except NoConvergence as exc:
-            factor, history = exc.factor, exc.history
-        assert len(history) >= 2
-        # each link stacks the raw sweep rows, as fta_dare_arbitrary returns them
-        chain = compress_factor(fta_dare_sweep(P, t), tau)
-        for k, rec in enumerate(history):
-            if k:
-                chain = compress_factor(fta_dare_arbitrary(P, chain.S, t), tau)
-            assert rec.rank == chain.r
-        X = chain.gram()
-        assert np.linalg.norm(factor.gram() - X) <= 1e-12 * np.linalg.norm(X)
+        tau, stop = 1e-12, 1e-10
+        compressions, original = [], dare.compress_factor
+
+        def recorded(factor, tau, sigma_max=None, left=None):
+            if left is None:  # a stack compression, not a sweep's cut
+                compressions.append(factor.r)
+            return original(factor, tau, sigma_max, left)
+
+        monkeypatch.setattr(dare, "compress_factor", recorded)
+        # fta_dare_solve's restarts, each factor as it leaves its restart
+        rounds = dare._dare_rounds(P, t, tau, stop, 6)
+        chain = None
+        for k in range(6):
+            before = len(compressions)
+            factor, fields = next(rounds)
+            # each link stacks the raw sweep rows, as fta_dare_arbitrary returns them
+            chain = compress_factor(fta_dare_sweep(P, t) if chain is None
+                                    else fta_dare_arbitrary(P, chain.S, t), tau)
+            X = chain.gram()
+            assert np.linalg.norm(factor.gram() - X) <= 1e-12 * np.linalg.norm(X)
+            if k == 0 or len(compressions) > before:  # restart 1's cut compresses
+                assert fields["rank"] == chain.r
+            if fields["nres"] <= stop:
+                break
+        assert k >= 1
 
 
 def heat_problem(n):
@@ -532,15 +627,17 @@ class TestRestartLifetimes:
     """A suspended restart generator keeps its locals: none may be a spent stack."""
 
     def test_only_factor_and_residual_factor_outlive_a_restart(self, monkeypatch):
-        stacks, factors, stack_alive, factor_alive = [], [], [], []
+        stacks, factors, stack_alive, factor_alive, makes_S = [], [], [], [], []
         compress, nres = dare.compress_factor, residuals.nres_factor
 
-        def recorded_compress(factor, tau):
+        def recorded_compress(factor, tau, sigma_max=None, left=None):
             gc.collect()
             factor_alive.append([ref() is not None for ref in factors])
-            stacks.append(weakref.ref(factor.S))
-            out = compress(factor, tau)
+            if left is not None:  # a sweep's cut: its input is the spent stack's rows
+                stacks.append(weakref.ref(factor.S))
+            out = compress(factor, tau, sigma_max, left)
             factors.append(weakref.ref(out.S))
+            makes_S.append(left is None)  # a cut's rows are stacked, a copy
             return out
 
         def checked_nres(C_k, P):
@@ -553,10 +650,14 @@ class TestRestartLifetimes:
         with pytest.raises(NoConvergence) as exc:
             fta_dare_solve(heat_problem(400), t_per_restart=8, stop=0.0, max_restarts=4)
         assert len(exc.value.history) == 4
-        # each stack dies at its compression, and each factor once its rows are
-        # stacked: only S and D go from one restart to the next
+        # each stack dies at its cut, and each cut's rows once they are stacked:
+        # at a compression, only the factor S may be alive, and only if it is
+        # itself an earlier compression's output, not a stack of new rows
         assert stack_alive == [False] * 4
-        assert factor_alive == [[False] * k for k in range(4)]
+        assert len(factor_alive) > 4
+        for k, alive in enumerate(factor_alive):
+            assert alive == [False] * (k - 1) + [makes_S[k - 1]] * (k > 0)
+        assert any(makes_S)
 
 
 class TestDefectRestart:
