@@ -11,8 +11,11 @@ solves the residual equation of the closed-loop matrix A - BB'X_acc (applied
 through a Sherman-Morrison-Woodbury update of the fixed shifted
 factorization), truncates the new rows at tau * sigma_max of the accumulated
 factor (from Vt and R, R Vt never formed), stacks the rest on it, and decays
-the shift.  The stack, like the DARE's, is compressed only when its row
-count doubles since its last compression, amortising a compression's cost.
+the shift.  A dropped direction of singular value sigma is worth sigma^2 of
+X = S'S, so the default tau = 1e-8 (about sqrt(eps)) drops at most about
+eps ||X||_2 per truncation, X's own rounding.  The stack, like the DARE's, is
+compressed only when its row count doubles since its last compression,
+amortising a compression's cost.
 
 Each round's residual comes from that factor: ``nres_factor`` costs O(l^2 n).
 It misses only the compression error, so the exact ``nres_care`` (a QR of
@@ -187,7 +190,7 @@ def _care_rounds(P, gamma0, t, shift_decay, tau, stop, max_rounds):
         gamma /= shift_decay
 
 
-def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
+def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-8,
                    stop=1e-8, max_rounds=40):
     """Incorporation loop: sweep, truncate, stack, compress, decay the shift.
 
@@ -197,8 +200,9 @@ def fta_care_solve(P, gamma0=None, t_per_round=32, shift_decay=1.01, tau=1e-12,
     norm is that factor's sigma_max, which X only outgrows.  The stack is
     compressed when its rows reach twice the rank of its last compression,
     before an exact residual and before the factor leaves the loop.  A round's
-    two truncations move X by at most 2 tau^2 ||X||_2.  ``residual_factor``
-    takes the rows uncut, and the feedback reads the stack as it stands.
+    two truncations move X by at most 2 tau^2 ||X||_2, 2e-16 ||X||_2 at the
+    default tau = 1e-8.  ``residual_factor`` takes the rows uncut, and the
+    feedback reads the stack as it stands.
 
     Converged means the exact ``nres_care`` is <= stop; each record's ``nres``
     is the value its stop test used, ``nres_factor`` the residual factor's,

@@ -384,7 +384,7 @@ def _dare_rounds(P, t, tau, stop, max_restarts):
                                      nres_factor=cheap, rows_in=rows_in)
 
 
-def fta_dare_solve(P, t_per_restart=32, tau=1e-12, stop=1e-8, max_restarts=40):
+def fta_dare_solve(P, t_per_restart=32, tau=1e-8, stop=1e-8, max_restarts=40):
     """Restarted defect sweeps until nres_dare <= stop; unpacks as (factor, history).
     tau, stop and the restart cap default to ``fta_care_solve``'s values.  The
     exact ``nres_dare`` runs only where ``nres_factor`` reaches stop, and at the

@@ -376,7 +376,7 @@ class TestSolve:
         assert np.linalg.norm(result.factor.gram() - X) <= 1e-6 * np.linalg.norm(X)
 
     @pytest.mark.xfail(raises=NoConvergence, strict=True,
-                       reason="levels off at nres 1.29e-8 where the dense "
+                       reason="levels off at nres 1.32e-8 where the dense "
                               "answer reaches 2.1e-10 (ROADMAP item 2)")
     def test_antistable_reaches_dense_residual_level(self):
         A, B, C = separated_antistable(5, 4, 2)
@@ -389,11 +389,23 @@ class TestSolve:
         # of one compression of the full stack per round; compressing only
         # when the stack doubles (4 compressions, not 15) must not move them.
         # Fewer compression passes drop fewer directions just above
-        # tau * sigma_max, so the rank is 143 where every round gave 141
+        # tau * sigma_max, so the rank is 143 where every round gave 141.
+        # At tau = 1e-12: the default's rank is pinned below
+        P = laplacian_problem(3000, 4, 4)
+        result = fta_care_solve(P, gamma0=1.5, t_per_round=32, tau=1e-12, stop=1e-6)
+        assert result.converged
+        assert (len(result.history), result.factor.r) == (15, 143)
+        assert nres_care(result.factor, P) \
+            == pytest.approx(9.679939973909288e-7, rel=1e-3)
+
+    def test_laplacian_3000_default_tau_cuts_rank_not_rounds_or_residual(self):
+        # the default tau = 1e-8 drops directions worth at most about
+        # eps ||X||_2 each: the same 15 rounds and residual as at tau = 1e-12
+        # above, at rank 90 instead of 143
         P = laplacian_problem(3000, 4, 4)
         result = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6)
         assert result.converged
-        assert (len(result.history), result.factor.r) == (15, 143)
+        assert (len(result.history), result.factor.r) == (15, 90)
         assert nres_care(result.factor, P) \
             == pytest.approx(9.679939973909288e-7, rel=1e-3)
 
@@ -406,7 +418,7 @@ class TestSolve:
         assert [rec.nres_factor for rec in history] == pytest.approx(radi, rel=1e-8)
 
     def test_compresses_when_stack_doubles(self, monkeypatch):
-        # rows_in 128, 207, 254 and 262 at n = 3000: 4 compressions in 15 rounds
+        # rows_in 128, 140, 160 and 158 at n = 3000: 4 compressions in 15 rounds
         calls = []
         original = care.compress_factor
 
@@ -600,13 +612,15 @@ class TestStopTest:
         assert rejected.rank <= after.rows_in < rejected.rank + 16
 
     def test_exits_return_compressed_factor(self):
-        # round 2 stacks 59 rows on round 1's 32, short of doubling: only the
-        # cap compresses them.  The converged run compresses before its check
+        # at tau = 1e-12, round 2 stacks 59 rows on round 1's 32, short of
+        # doubling: only the cap compresses them.  The converged run
+        # compresses before its check
         P = laplacian_problem(200, 2, 2)
         with pytest.raises(NoConvergence) as exc:
-            fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8, max_rounds=2)
+            fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-12, stop=1e-8,
+                           max_rounds=2)
         assert exc.value.history[-1].rows_in == 59
-        converged = fta_care_solve(P, gamma0=1.5, t_per_round=16, stop=1e-8)
+        converged = fta_care_solve(P, gamma0=1.5, t_per_round=16, tau=1e-12, stop=1e-8)
         for factor, history in ((exc.value.factor, exc.value.history), converged):
             assert_compressed(factor.S)
             assert history[-1].rank == factor.r
