@@ -10,12 +10,13 @@ the DARE solver; the rounds here accumulate corrections: each round
 solves the residual equation of the closed-loop matrix A - BB'X_acc (applied
 through a Sherman-Morrison-Woodbury update of the fixed shifted
 factorization), truncates the new rows at tau * sigma_max of the accumulated
-factor (from Vt and R, R Vt never formed), stacks the rest on it, and decays
-the shift.  A dropped direction of singular value sigma is worth sigma^2 of
-X = S'S, so the default tau = 1e-8 (about sqrt(eps)) drops at most about
-eps ||X||_2 per truncation, X's own rounding.  The stack, like the DARE's, is
-compressed only when its row count doubles since its last compression,
-amortising a compression's cost.
+factor (from Vt and R, R Vt never formed; from their small Gram matrix where
+it resolves that cut, as it does in most rounds after the first), stacks the
+rest on it, and decays the shift.  A dropped direction of singular value
+sigma is worth sigma^2 of X = S'S, so the default tau = 1e-8 (about sqrt(eps))
+drops at most about eps ||X||_2 per truncation, X's own rounding.  The
+stack, like the DARE's, is compressed only when its row count doubles since
+its last compression, amortising a compression's cost.
 
 Each round's residual comes from that factor: ``nres_factor`` costs O(l^2 n).
 It misses only the compression error, so the exact ``nres_care`` (a QR of

@@ -20,6 +20,7 @@ from fftriccati.toeplitz_inverse import StructuredInverse
 
 from oracles import (dense_care_residual, radi_delta_check, random_care_instance,
                      sda_care_init)
+from test_dare import spy_eigh
 
 SQRT2M1 = np.sqrt(2.0) - 1.0
 ANTISTABLE_ROOT = (1.0 + np.sqrt(5.0)) / 4.0  # positive root of 1 + 2x - 4x^2 = 0
@@ -408,6 +409,18 @@ class TestSolve:
         assert (len(result.history), result.factor.r) == (15, 90)
         assert nres_care(result.factor, P) \
             == pytest.approx(9.679939973909288e-7, rel=1e-3)
+
+    def test_laplacian_3000_gram_cuts_keep_the_qr_cuts(self, monkeypatch):
+        # rows_in and rank of every round as the QR route alone gave them;
+        # 11 of the 14 later cuts pass the Gram route's guard (3 fall below it)
+        grams = spy_eigh(monkeypatch)
+        P = laplacian_problem(3000, 4, 4)
+        history = fta_care_solve(P, gamma0=1.5, t_per_round=32, stop=1e-6).history
+        assert [rec.rows_in for rec in history] == [
+            128, 95, 118, 140, 97, 114, 131, 146, 160, 100, 112, 124, 136, 147, 158]
+        assert [rec.rank for rec in history] == [
+            68, 95, 118, 79, 97, 114, 131, 146, 86, 100, 112, 124, 136, 147, 90]
+        assert len(grams) >= 10
 
     def test_laplacian_3000_rounds_match_low_rank_radi(self):
         # the paper's claim that a sweep produces the same sequence as RADI,

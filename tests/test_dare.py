@@ -326,8 +326,32 @@ def gapped_left(k, seed, tau):
     return (U * sv) @ V.T
 
 
+def spy_eigh(monkeypatch):
+    """Record np.linalg.eigh's calls: only compress_factor's Gram route makes one."""
+    calls, original = [], np.linalg.eigh
+
+    def counted(M, *args, **kwargs):
+        calls.append(M.shape)
+        return original(M, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+def assert_orthogonal_and_sorted(S):
+    """Rows sorted by norm, orthogonal to 1e-12 relative to the largest norm squared."""
+    norms = np.linalg.norm(S, axis=1)
+    assert np.all(np.diff(norms) <= 0.0)
+    off = S @ S.T - np.diag(norms ** 2)
+    assert np.max(np.abs(off), initial=0.0) <= 1e-12 * norms[0] ** 2
+
+
 class TestCompressLeft:
-    """compress_factor(K, tau, sigma, left=W) cuts W K without forming it."""
+    """compress_factor(K, tau, sigma, left=W) cuts W K without forming it.
+
+    With a sigma_max it takes the Gram route where the guard
+    (tau sigma_max)^2 >= 100 eps ||K||_F^2 max(1, ||W||_2^2) admits it, and the
+    QR route otherwise; either must cut as the QR route cuts the formed W K."""
 
     @staticmethod
     def assert_same_cut(K, W, tau, sigma_max=None):
@@ -383,6 +407,56 @@ class TestCompressLeft:
         with pytest.raises(StackBlowup):
             compress_factor(LowRankFactor(np.ones((2, 5))), 1e-12,
                             left=np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("scale", [2.0, 0.5])
+    @pytest.mark.parametrize("tau", [1e-4, 1e-8])
+    @pytest.mark.parametrize("case", ["gapped", "sweep8", "sweep32"])
+    def test_either_route_matches_the_formed_cut(self, case, tau, scale, monkeypatch):
+        if case == "gapped":
+            K, W = np.random.default_rng(2).standard_normal((48, 500)), gapped_left(48, 3, tau)
+        else:
+            sweep = dare._sweep_base(heat_problem(400), int(case[5:]))
+            K, W = sweep.rows, sweep.left
+        sigma = scale * np.linalg.svd(W @ K, compute_uv=False)[0]
+        calls = spy_eigh(monkeypatch)
+        out = self.assert_same_cut(K, W, tau, sigma)
+        # only the fused cut has a left; at tau = 1e-8 its cut sits below what
+        # K K' resolves on these inputs, and the guard sends it to the QR route
+        assert len(calls) == (tau == 1e-4)
+        assert out.r == 24 if case == "gapped" else out.r > 0
+        assert_orthogonal_and_sorted(out.S)
+
+    @pytest.mark.parametrize("c", [1.0, 1e6])
+    def test_guard_refuses_a_cut_the_gram_cannot_resolve(self, c, monkeypatch):
+        # ||K||_2 >= 5 sigma_max(W K) and tau = 1e-8: the cut (tau sigma_max)^2
+        # lies far below the rounding of K K'.  Scaling W by c scales W K and
+        # the cut alike, and the guard's ||W||_2^2 with them.
+        K = np.random.default_rng(4).standard_normal((48, 500))
+        W = 0.1 * c * gapped_left(48, 5, 1e-7)
+        sigma = np.linalg.svd(W @ K, compute_uv=False)[0]
+        assert np.linalg.norm(K, 2) >= 5.0 * sigma / c
+        # unguarded, the Gram route would keep rounding noise above the cut
+        formed = compress_factor(LowRankFactor(W @ K), 1e-8, sigma)
+        lam = np.linalg.eigvalsh(W @ (K @ K.T) @ W.T)
+        assert np.count_nonzero(lam > (1e-8 * sigma) ** 2) > formed.r
+        calls, qr_shapes, qr = spy_eigh(monkeypatch), [], dare.qr_r
+
+        def recorded_qr(M):
+            qr_shapes.append(M.shape)
+            return qr(M)
+
+        monkeypatch.setattr(dare, "qr_r", recorded_qr)
+        out = self.assert_same_cut(K, W, 1e-8, sigma)
+        assert calls == [] and qr_shapes[0] == (500, 48)  # the thin QR of K'
+        assert_orthogonal_and_sorted(out.S)
+
+    def test_gram_cut_that_keeps_nothing_is_empty(self, monkeypatch):
+        sweep = dare._sweep_base(heat_problem(400), 8)
+        calls = spy_eigh(monkeypatch)
+        out = compress_factor(LowRankFactor(sweep.rows), 1e-4,
+                              1e5 * np.linalg.norm(sweep.factor.S, 2), left=sweep.left)
+        assert len(calls) == 1
+        assert out.S.shape == (0, 400)
 
 
 class TestSolve:
